@@ -21,7 +21,7 @@ std::string AnalyzedQuery::ToString() const {
   for (size_t i = 0; i < tables.size(); ++i) {
     if (i) s += ", ";
     s += tables[i].relation;
-    if (tables[i].alias != tables[i].relation) s += " " + tables[i].alias;
+    if (tables[i].alias != tables[i].relation) s.append(" ").append(tables[i].alias);
   }
   if (!conjuncts.empty()) {
     s += " WHERE ";
@@ -34,10 +34,10 @@ std::string AnalyzedQuery::ToString() const {
     s += " GROUP BY ";
     for (size_t i = 0; i < group_cols.size(); ++i) {
       if (i) s += ", ";
-      s += "$" + std::to_string(group_cols[i]);
+      s.append("$").append(std::to_string(group_cols[i]));
     }
   }
-  if (limit >= 0) s += " LIMIT " + std::to_string(limit);
+  if (limit >= 0) s.append(" LIMIT ").append(std::to_string(limit));
   return s;
 }
 

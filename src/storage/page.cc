@@ -1,5 +1,7 @@
 #include "storage/page.h"
 
+#include <zlib.h>
+
 #include "common/log.h"
 #include "common/serial.h"
 #include "hash/sha1.h"
@@ -146,6 +148,126 @@ Status Page::DecodeFrom(Reader* r, Page* out) {
     out->hashes.push_back(h);
   }
   return Status::OK();
+}
+
+uint32_t PageCrc(std::string_view encoded_page) {
+  return static_cast<uint32_t>(
+      crc32(0, reinterpret_cast<const Bytef*>(encoded_page.data()),
+            static_cast<uInt>(encoded_page.size())));
+}
+
+namespace {
+// Page row order: (hash, key). Negative when row a sorts first.
+int CompareRows(const HashId& ha, std::string_view ka, const HashId& hb,
+                std::string_view kb) {
+  if (ha != hb) return ha < hb ? -1 : 1;
+  return ka.compare(kb);
+}
+}  // namespace
+
+PageDelta PageDelta::Between(const Page& base, const Page& next,
+                             uint32_t next_crc) {
+  PageDelta d;
+  d.desc = next.desc;
+  d.base_epoch = base.desc.id.epoch;
+  d.crc = next_crc;
+  size_t i = 0, j = 0;
+  while (i < base.ids.size() || j < next.ids.size()) {
+    int order = i == base.ids.size()   ? 1
+                : j == next.ids.size() ? -1
+                                       : CompareRows(base.hashes[i], base.ids[i].key_bytes,
+                                                     next.hashes[j], next.ids[j].key_bytes);
+    if (order < 0) {
+      d.removed.push_back(base.ids[i++].key_bytes);
+      continue;
+    }
+    if (order > 0 || base.ids[i].epoch != next.ids[j].epoch) {
+      d.added.push_back(next.ids[j]);
+      d.added_hashes.push_back(next.hashes[j]);
+    }
+    if (order == 0) ++i;
+    ++j;
+  }
+  return d;
+}
+
+Status PageDelta::Materialize(const Page& base, Page* out) const {
+  if (!(base.desc.id == base_id())) {
+    return Status::Corruption("page delta: wrong base " + base.desc.id.ToString());
+  }
+  out->desc = desc;
+  out->ids.clear();
+  out->hashes.clear();
+  out->ids.reserve(base.ids.size() + added.size());
+  out->hashes.reserve(base.ids.size() + added.size());
+  auto emit_added = [&](size_t j) {
+    out->ids.push_back(added[j]);
+    out->hashes.push_back(added_hashes[j]);
+  };
+  size_t r = 0, j = 0;
+  for (size_t i = 0; i < base.ids.size(); ++i) {
+    if (r < removed.size() && base.ids[i].key_bytes == removed[r]) {
+      ++r;
+      continue;
+    }
+    int order = 1;
+    while (j < added.size() &&
+           (order = CompareRows(added_hashes[j], added[j].key_bytes,
+                                base.hashes[i], base.ids[i].key_bytes)) < 0) {
+      emit_added(j++);
+    }
+    if (j < added.size() && order == 0) {
+      emit_added(j++);  // re-versioned: the delta's row replaces the base's
+      continue;
+    }
+    out->ids.push_back(base.ids[i]);
+    out->hashes.push_back(base.hashes[i]);
+  }
+  while (j < added.size()) emit_added(j++);
+  if (r != removed.size()) {
+    return Status::Corruption("page delta: removed key not in base");
+  }
+  return Status::OK();
+}
+
+void PageDelta::EncodeTo(Writer* w) const {
+  ORC_CHECK(added_hashes.size() == added.size(),
+            "page delta: hashes not parallel to added rows");
+  desc.EncodeTo(w);
+  w->PutVarint64(base_epoch);
+  w->PutVarint64(removed.size());
+  for (const std::string& key : removed) w->PutString(key);
+  w->PutVarint64(added.size());
+  for (size_t i = 0; i < added.size(); ++i) {
+    added[i].EncodeTo(w);
+    added_hashes[i].EncodeTo(w);
+  }
+  w->PutU32(crc);
+}
+
+Status PageDelta::DecodeFrom(Reader* r, PageDelta* out) {
+  ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &out->desc));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&out->base_epoch));
+  uint64_t n;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+  out->removed.clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string key;
+    ORC_RETURN_IF_ERROR(r->GetString(&key));
+    out->removed.push_back(std::move(key));
+  }
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+  out->added.clear();
+  out->added_hashes.clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    TupleId id;
+    ORC_RETURN_IF_ERROR(TupleId::DecodeFrom(r, &id));
+    HashId h;
+    ORC_RETURN_IF_ERROR(HashId::DecodeFrom(r, &h));
+    out->added.push_back(std::move(id));
+    out->added_hashes.push_back(h);
+  }
+  return r->GetU32(&out->crc);
 }
 
 void EpochClaimRecord::EncodeTo(Writer* w) const {

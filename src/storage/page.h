@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -119,6 +120,40 @@ struct Page {
 
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, Page* out);
+};
+
+/// crc32 of an encoded page (Page::EncodeTo bytes): what a delta carries so
+/// its receiver can verify the page it rebuilt before storing it.
+uint32_t PageCrc(std::string_view encoded_page);
+
+/// A page version expressed against an older version of the same partition
+/// (its base): the keys the new version drops and the rows it adds or
+/// re-versions. Publishers send one instead of the whole page when the index
+/// node already holds the base; a committed PageId never changes content, so
+/// base + delta rebuilds exactly the page the publisher built, and `crc`
+/// proves it.
+struct PageDelta {
+  PageDescriptor desc;   // the new version
+  Epoch base_epoch = 0;  // base = (desc.id.relation, base_epoch, partition)
+  std::vector<std::string> removed;  // base keys absent from the new version,
+                                     // in base order
+  std::vector<TupleId> added;        // rows new in, or re-versioned by, the
+                                     // new version, in page order
+  std::vector<HashId> added_hashes;  // parallel to added
+  uint32_t crc = 0;                  // PageCrc of the new version's encoding
+
+  PageId base_id() const {
+    return PageId{desc.id.relation, base_epoch, desc.id.partition};
+  }
+  /// The delta that turns `base` into `next` (two versions of one partition,
+  /// both sorted by (hash, key) as every page is); one merge pass.
+  static PageDelta Between(const Page& base, const Page& next, uint32_t next_crc);
+  /// Rebuilds the new version from `base`, which must be base_id()'s page.
+  /// Corruption if the delta does not fit the base; the caller checks `crc`.
+  Status Materialize(const Page& base, Page* out) const;
+
+  void EncodeTo(Writer* w) const;
+  static Status DecodeFrom(Reader* r, PageDelta* out);
 };
 
 /// Value of an epoch-claim record ('E' keys, see keys::EpochClaim): which

@@ -25,7 +25,9 @@ struct Publisher::PubState {
     // the same tuple in a publish.
     std::vector<std::string> update_keys;
     std::vector<HashId> update_hashes;
-    Page old_page;  // empty when !has_old_desc
+    // The base page (old_desc's version), shared with the chain ancestor or
+    // the committed-page cache it came from; null when !has_old_desc.
+    std::shared_ptr<const Page> old_page;
   };
 
   struct TupleWrite {
@@ -49,9 +51,11 @@ struct Publisher::PubState {
   std::map<std::string, std::map<uint32_t, bool>> partition_nonempty;
 
   // Prepared output: what a chained successor bases itself on, and what the
-  // write/commit stages send. Valid once `prepared`; released at Finish.
+  // write/commit stages send. Valid once `prepared`; released at Finish (a
+  // committed publish hands its pages to the committed-page cache).
+  // new_pages[i] is the new version of parts[i]'s partition.
   std::vector<TupleWrite> tuple_writes;
-  std::vector<Page> new_pages;
+  std::vector<std::shared_ptr<const Page>> new_pages;
   std::map<std::string, CoordinatorRecord> out_records;  // new-epoch records
 
   // Lifecycle. `prepared` -> outputs computed (successors may start);
@@ -71,6 +75,7 @@ struct Publisher::PubState {
   Handle prev;         // chain predecessor; cleared when the write gate opens
   Handle commit_prev;  // retained until the commit gate (prev fully resolved)
   std::vector<std::function<void()>> on_prepared;
+  std::vector<std::function<void()>> on_claim_resolved;
   std::vector<std::function<void()>> on_records_committed;
   std::vector<std::function<void()>> on_done;
 
@@ -98,7 +103,10 @@ struct Publisher::PubState {
                                // no other writer can take the epoch and leave
                                // our partial writes as shadowing orphans
   int claim_stall_left = 6;    // AwaitWinner probes before failing the batch
-  int rebase_left = 4;         // contention re-bases allowed for this publish
+  int rebase_left = 8;         // contention re-bases allowed for this publish;
+                               // each claim round admits one winner, so N
+                               // writers racing on a healthy cluster need up
+                               // to N - 1 re-bases for the last to commit
   int fence_skip_left = 64;    // burned epochs this publish may step past —
                                // separate from rebase_left because a skip
                                // keeps the base and prepared records intact
@@ -115,6 +123,11 @@ struct Publisher::PubState {
       on_records_committed[i]();
     }
     on_records_committed.clear();
+  }
+
+  void FireClaimResolved() {
+    for (size_t i = 0; i < on_claim_resolved.size(); ++i) on_claim_resolved[i]();
+    on_claim_resolved.clear();
   }
 
   void FirePrepared() {
@@ -219,7 +232,23 @@ void Publisher::StartChained(Handle st) {
   st->base_epoch = prev->new_epoch;
   st->new_epoch = st->base_epoch + 1;
   st->records = prev->out_records;
-  StartClaim(st);
+  // Paced claim: the claim round waits for the predecessor's to resolve.
+  // A deep window prepares its whole chain in one instant (every base page
+  // comes from the chain), and claiming all of it at once would land one
+  // burst of claim replies on this node; one claim round per round trip
+  // still runs far ahead of the writes, which take two round trips per
+  // epoch.
+  if (prev->done || prev->claim_state == PubState::ClaimState::kGranted) {
+    StartClaim(st);
+  } else {
+    std::weak_ptr<PubState> weak = st;
+    prev->on_claim_resolved.push_back([this, weak] {
+      Handle s = weak.lock();
+      if (s != nullptr && s->claim_state == PubState::ClaimState::kNone) {
+        StartClaim(s);
+      }
+    });
+  }
   FetchPages(st);
 }
 
@@ -377,48 +406,56 @@ void Publisher::FetchPages(Handle st) {
     }
   }
 
-  // Stage 2: fetch the current page of each affected partition. The paper
-  // locates it via the inverse node (§IV); with the coordinator record in
-  // hand the descriptor already names it, so we go straight to the index
-  // node. (ReadInverseLocal/kGetInverse expose the inverse-node path too.)
-  //
-  // Chained publishes: a descriptor at an uncommitted ancestor's epoch names
-  // a page that may still be in flight to its index nodes — it MUST be taken
-  // from that ancestor's in-memory output, which doubles as the pipeline
-  // overlap win: these partitions cost no round trip at all. The walk covers
-  // the whole live chain (a window-4 pipeline can reference pages from three
-  // epochs back); ancestors whose chain link was already cleared have
-  // committed, so their pages are durably fetchable over the network.
-  auto page_from_chain = [&st](const PubState::PartitionWork& pw) -> const Page* {
-    for (const PubState* anc = st->prev.get(); anc != nullptr;
-         anc = anc->prev.get()) {
-      if (pw.old_desc.id.epoch != anc->new_epoch) continue;
-      for (const Page& page : anc->new_pages) {
-        if (page.desc.id.relation == pw.relation &&
-            page.desc.id.partition == pw.partition) {
-          return &page;
-        }
-      }
-      return nullptr;  // right epoch, page missing: fetch over the network
-    }
-    return nullptr;
-  };
+  // Stage 2: the current page of each affected partition. The paper locates
+  // it via the inverse node (§IV); with the coordinator record in hand the
+  // descriptor already names it, so BasePage takes it from memory when it
+  // can and the rest are fetched straight from their index nodes.
+  // (ReadInverseLocal/kGetInverse expose the inverse-node path too.)
   st->outstanding = 1;  // guard against zero fetches
   for (size_t i = 0; i < st->parts.size(); ++i) {
     PubState::PartitionWork& pw = st->parts[i];
     if (!pw.has_old_desc) continue;
-    if (const Page* cached = page_from_chain(pw)) {
-      pw.old_page = *cached;
-      continue;
-    }
+    pw.old_page = BasePage(*st, pw.old_desc.id);
+    if (pw.old_page != nullptr) continue;
     st->outstanding += 1;
+    pipeline_stats_.page_fetches += 1;
     service_->GetPage(pw.old_desc, [this, st, i](Status s, Page page) {
       if (!s.ok() && st->first_error.ok()) st->first_error = s;
-      if (s.ok()) st->parts[i].old_page = std::move(page);
+      if (s.ok()) st->parts[i].old_page = std::make_shared<const Page>(std::move(page));
       if (--st->outstanding == 0) Apply(st);
     });
   }
   if (--st->outstanding == 0) Apply(st);
+}
+
+std::shared_ptr<const Page> Publisher::BasePage(const PubState& st,
+                                                const PageId& id) {
+  // Chained publishes: a descriptor at an uncommitted ancestor's epoch names
+  // a page that may still be in flight to its index nodes — it MUST be taken
+  // from that ancestor's in-memory output, which doubles as the pipeline
+  // overlap win. The walk covers the whole live chain (a window-4 pipeline
+  // can reference pages from three epochs back).
+  for (const PubState* anc = st.prev.get(); anc != nullptr; anc = anc->prev.get()) {
+    if (id.epoch != anc->new_epoch) continue;
+    for (const auto& page : anc->new_pages) {
+      if (page->desc.id == id) {
+        pipeline_stats_.page_chain_hits += 1;
+        return page;
+      }
+    }
+    break;  // right epoch, page missing: try the cache, then the network
+  }
+  // This participant's own committed pages. Exact PageId match only: a
+  // committed PageId never changes content (retries are byte-identical,
+  // other writers are refused by the claim and commit gates, and fenced
+  // epochs never commit), while a partition another participant has since
+  // rewritten is named by a different PageId and misses.
+  auto it = page_cache_.find(std::make_pair(id.relation, id.partition));
+  if (it != page_cache_.end() && it->second->desc.id == id) {
+    pipeline_stats_.page_cache_hits += 1;
+    return it->second;
+  }
+  return nullptr;
 }
 
 void Publisher::Apply(Handle st) {
@@ -437,9 +474,11 @@ void Publisher::Apply(Handle st) {
       const HashId* hash;
     };
     std::map<std::string_view, Live> ids;
-    for (size_t i = 0; i < pw.old_page.ids.size(); ++i) {
-      ids[pw.old_page.ids[i].key_bytes] = {pw.old_page.ids[i].epoch,
-                                           &pw.old_page.hashes[i]};
+    if (pw.old_page != nullptr) {
+      const Page& old = *pw.old_page;
+      for (size_t i = 0; i < old.ids.size(); ++i) {
+        ids[old.ids[i].key_bytes] = {old.ids[i].epoch, &old.hashes[i]};
+      }
     }
 
     for (size_t j = 0; j < pw.updates.size(); ++j) {
@@ -472,7 +511,8 @@ void Publisher::Apply(Handle st) {
                                def->replicate_everywhere});
     }
 
-    Page page;
+    auto page_ptr = std::make_shared<Page>();
+    Page& page = *page_ptr;
     page.desc.id = PageId{pw.relation, st->new_epoch, pw.partition};
     page.desc.num_partitions = def->num_partitions;
     // Sort by (hash, key) so data-node scans are one ordered pass — a
@@ -498,7 +538,7 @@ void Publisher::Apply(Handle st) {
     st->partition_nonempty[pw.relation][pw.partition] = !page.ids.empty();
     // Empty pages are still written (they keep the inverse node current);
     // they simply carry no descriptor in the new coordinator record.
-    st->new_pages.push_back(std::move(page));
+    st->new_pages.push_back(std::move(page_ptr));
   }
 
   // The publish is now *prepared*: its output (new pages + coordinator
@@ -554,10 +594,10 @@ void Publisher::ReleaseGate(Handle st, Handle prev) {
     // base coordinator records, page contents, epoch — and the claim round
     // we launched for it — are all stale. Re-base onto its FINAL output. Its
     // records are copied here (the hook runs before Finish releases them);
-    // its pages are already durably committed, so the re-run fetches them
-    // over the network. Any fragments our stale claim stored sit at an
-    // epoch at or below the predecessor's committed one — no future claim
-    // ever targets it, and GC sweeps it.
+    // its pages are already durably committed, so the re-run takes them from
+    // the committed-page cache or the network. Any fragments our stale claim
+    // stored sit at an epoch at or below the predecessor's committed one — no
+    // future claim ever targets it, and GC sweeps it.
     pipeline_stats_.chain_rebases += 1;
     if (written_epochs_.count(st->new_epoch) == 0) {
       ReleaseClaim(st->new_epoch, st->claim_nonce);
@@ -634,6 +674,7 @@ void Publisher::StartClaim(Handle st) {
   if (replicas.empty()) {  // degenerate single-node teardown; nothing to race
     st->claim_state = PubState::ClaimState::kGranted;
     st->claimed_epoch = epoch;
+    st->FireClaimResolved();
     MaybeIssue(st);
     return;
   }
@@ -699,6 +740,7 @@ void Publisher::StartClaim(Handle st) {
             st->claimed_epoch = epoch;
             ScheduleClaimRefresh(st, round_id);
           }
+          st->FireClaimResolved();
           MaybeIssue(st);
         },
         kEpochDiscoveryTimeoutUs);
@@ -1136,20 +1178,7 @@ void Publisher::IssueWrites(Handle st) {
   // the uncommitted epoch but never a coordinator record referencing state
   // that was not fully written. Orphans are overwritten byte-identically
   // when the publisher retries the batch, and GC retires them eventually.
-  st->outstanding = 1;
-  auto track = [st](Status s) {
-    if (!s.ok() && st->first_error.ok()) st->first_error = s;
-  };
-  auto dec = [this, st]() {
-    if (--st->outstanding == 0) {
-      if (!st->first_error.ok()) {
-        Finish(st, st->first_error);
-      } else {
-        WriteCoordinators(st);
-      }
-    }
-  };
-
+  st->outstanding = 1;  // released by the WriteAcked at the end
   const auto& snap = service_->snapshot();
   std::vector<net::NodeId> everyone;
   for (const auto& m : snap.members()) everyone.push_back(m.node);
@@ -1191,29 +1220,87 @@ void Publisher::IssueWrites(Handle st) {
     st->outstanding += 1;
     pipeline_stats_.put_frames += 1;
     service_->Call(target, kPutTuples, body.Release(),
-                   [track, dec](Status s, const std::string&) {
-                     track(s);
-                     dec();
-                   });
+                   [this, st](Status s, const std::string&) { WriteAcked(st, s); });
   }
 
-  // 3b: new page versions to their index nodes.
-  for (const Page& page : st->new_pages) {
-    const RelationDef* def = service_->FindRelation(page.desc.id.relation);
+  // 3b: page versions, coalesced into ONE kPutPage frame per index node.
+  // A page whose base the publish holds goes as a delta against it when that
+  // is smaller; each entry is encoded once and shared by every replica's
+  // frame. A node that cannot rebuild a delta (base missing, crc mismatch)
+  // names it in its reply, and only that node gets it again in full.
+  std::vector<std::string> entries(st->new_pages.size());
+  std::map<net::NodeId, std::vector<std::string_view>> frame_of;
+  for (size_t i = 0; i < st->new_pages.size(); ++i) {
+    const Page& page = *st->new_pages[i];
     Writer w;
     page.EncodeTo(&w);
+    entries[i] = PutPageFrame::FullEntry(w.data());
+    if (const Page* base = st->parts[i].old_page.get()) {
+      std::string delta = PutPageFrame::DeltaEntry(
+          PageDelta::Between(*base, page, PageCrc(w.data())));
+      if (delta.size() < entries[i].size()) entries[i] = std::move(delta);
+    }
+    const RelationDef* def = service_->FindRelation(page.desc.id.relation);
     std::vector<net::NodeId> targets =
         def->replicate_everywhere
             ? everyone
             : snap.ReplicasOf(page.desc.home(), service_->replication());
+    for (net::NodeId t : targets) frame_of[t].push_back(entries[i]);
+  }
+  for (const auto& [target, node_entries] : frame_of) {
     st->outstanding += 1;
-    service_->CallAll(targets, kPutPage, w.data(), [track, dec](Status s) {
-      track(s);
-      dec();
-    });
+    service_->Call(
+        target, kPutPage, PutPageFrame::Encode(node_entries),
+        [this, st, target = target](Status s, const std::string& reply) {
+          std::vector<PageId> need_full;
+          if (s.ok()) s = PutPageFrame::DecodeNeedFull(reply, &need_full);
+          if (s.ok() && !need_full.empty() && !st->done) {
+            s = ResendFullPages(st, target, need_full);
+          }
+          WriteAcked(st, s);
+        });
   }
 
-  dec();
+  WriteAcked(st, Status::OK());
+}
+
+void Publisher::WriteAcked(Handle st, Status s) {
+  if (!s.ok() && st->first_error.ok()) st->first_error = s;
+  if (--st->outstanding > 0) return;
+  if (!st->first_error.ok()) {
+    Finish(st, st->first_error);
+  } else {
+    WriteCoordinators(st);
+  }
+}
+
+Status Publisher::ResendFullPages(Handle st, net::NodeId target,
+                                  const std::vector<PageId>& pages) {
+  std::vector<std::string> entries;
+  for (const PageId& id : pages) {
+    for (const auto& page : st->new_pages) {
+      if (page->desc.id != id) continue;
+      Writer w;
+      page->EncodeTo(&w);
+      entries.push_back(PutPageFrame::FullEntry(w.data()));
+      break;
+    }
+  }
+  if (entries.size() != pages.size()) {
+    return Status::Corruption("kPutPage reply names a page this publish did not send");
+  }
+  pipeline_stats_.page_full_fallbacks += entries.size();
+  st->outstanding += 1;
+  std::vector<std::string_view> views(entries.begin(), entries.end());
+  service_->Call(target, kPutPage, PutPageFrame::Encode(views),
+                 [this, st](Status s, const std::string& reply) {
+                   // A full entry is never named for a re-send.
+                   if (s.ok() && !reply.empty()) {
+                     s = Status::Corruption("kPutPage refused a full page");
+                   }
+                   WriteAcked(st, s);
+                 });
+  return Status::OK();
 }
 
 void Publisher::WriteCoordinators(Handle st) {
@@ -1372,6 +1459,7 @@ void Publisher::Finish(Handle st, Status status) {
   // Continuation hooks fire before the user callback: a successor blocked on
   // this publish learns its fate (and starts writing, or aborts) first.
   if (!st->prepared) st->FirePrepared();  // waiters observe done + status
+  st->FireClaimResolved();
   if (!st->records_committed) st->FireRecordsCommitted();  // ditto (failures)
   for (size_t i = 0; i < st->on_done.size(); ++i) st->on_done[i]();
   st->on_done.clear();
@@ -1380,7 +1468,19 @@ void Publisher::Finish(Handle st, Status status) {
 
   // Release the heavy state now rather than at handle destruction: a
   // client::Session keeps the last handle around as its chain tail, and
-  // nothing may chain onto (or read from) a resolved publish.
+  // nothing may chain onto (or read from) a resolved publish. Committed pages
+  // move to the committed-page cache instead: they are now the newest this
+  // participant knows for their partitions, and later publishes take their
+  // bases from there rather than over kGetPage.
+  if (st->committed) {
+    for (auto& page : st->new_pages) {
+      auto& slot = page_cache_[std::make_pair(page->desc.id.relation,
+                                              page->desc.id.partition)];
+      if (slot == nullptr || slot->desc.id.epoch < page->desc.id.epoch) {
+        slot = std::move(page);
+      }
+    }
+  }
   st->batch.clear();
   st->parts.clear();
   st->tuple_writes.clear();

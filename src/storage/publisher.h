@@ -1,12 +1,15 @@
 // Publisher: the participant-side write path of the versioned store (§IV).
 // Publishing a batch of updates creates a new global epoch:
 //   1. fetch the coordinator records of ALL relations at the current epoch,
-//   2. fetch the affected pages, apply the updates copy-on-write (the new
-//      page lists the new TupleIds; untouched pages are shared),
+//   2. take the affected pages from memory (a chain ancestor's output or the
+//      committed-page cache) or fetch them, apply the updates copy-on-write
+//      (the new page lists the new TupleIds; untouched pages are shared),
 //   3. write new tuple versions to their data storage nodes (replicated on
-//      insert, §III-C), new pages to their index nodes, and a coordinator
-//      record per relation at the new epoch (unchanged relations carry their
-//      page list forward, so every relation is resolvable at every epoch),
+//      insert, §III-C), new pages to their index nodes — one kPutPage frame
+//      per node, each page as a delta against the base the node holds — and
+//      a coordinator record per relation at the new epoch (unchanged
+//      relations carry their page list forward, so every relation is
+//      resolvable at every epoch),
 //   4. advance the gossiped epoch.
 //
 // There is no distributed locking: participants publish disjoint update
@@ -44,8 +47,8 @@
 // coordinator records and new pages) as soon as the predecessor has
 // *prepared* them, overlapping its own fetch/partition/apply stages with the
 // predecessor's tuple/page writes (and claims its own epoch concurrently
-// with those stages). Two gates keep this exactly as safe as sequential
-// publishing:
+// with those stages, once the predecessor's claim round has resolved). Two
+// gates keep this exactly as safe as sequential publishing:
 //   * WRITE gate — a chained publish issues no writes until every
 //     coordinator record of its predecessor is acked (the predecessor's
 //     confirm round then overlaps the successor's writes), so a failed
@@ -65,6 +68,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "overlay/gossip.h"
@@ -169,6 +173,11 @@ class Publisher {
     // Abandonment-fencing accounting.
     uint64_t fences = 0;           // fence rounds this publisher won
     uint64_t fenced_skips = 0;     // burned epochs skipped past
+    // Base pages (stage 2) and page writes (stage 3b).
+    uint64_t page_chain_hits = 0;      // taken from an in-flight ancestor
+    uint64_t page_cache_hits = 0;      // taken from the committed-page cache
+    uint64_t page_fetches = 0;         // fetched with kGetPage
+    uint64_t page_full_fallbacks = 0;  // deltas re-sent in full to one node
   };
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
@@ -195,6 +204,10 @@ class Publisher {
   void FetchBaseCoordinator(Handle st, const std::string& rel, Epoch epoch,
                             int walk_left, int stall_left);
   void FetchPages(Handle st);
+  /// The base page named by `id`, from memory: an in-flight chain ancestor's
+  /// output first, then the committed-page cache (exact PageId match). Null
+  /// when neither holds it and FetchPages must use kGetPage.
+  std::shared_ptr<const Page> BasePage(const PubState& st, const PageId& id);
   /// Applies the batch copy-on-write: computes the new pages, tuple writes,
   /// and — via BuildOutputs — the new coordinator records, then *prepares*
   /// the publish (unblocking a chained successor) before gating its own
@@ -204,6 +217,13 @@ class Publisher {
   /// multi-relation kPutTuples frame per destination node, page versions to
   /// their index nodes. Runs only once the predecessor (if any) committed.
   void IssueWrites(Handle st);
+  /// One write of stage 3 resolved: records the first error and, once every
+  /// write is in, commits (WriteCoordinators) or fails the publish.
+  void WriteAcked(Handle st, Status s);
+  /// A node's kPutPage reply named `pages` it could not rebuild from a
+  /// delta: sends them to that node alone, in full, as one more write.
+  Status ResendFullPages(Handle st, net::NodeId target,
+                         const std::vector<PageId>& pages);
   /// Computes the new-epoch coordinator record of every relation from the
   /// base records plus the touched partitions; stored on the handle for both
   /// the commit stage and any chained successor.
@@ -309,6 +329,12 @@ class Publisher {
   /// over the partial writes. Entries at or below a committed epoch are
   /// dropped (the frontier passed them; they can never be claimed again).
   std::set<Epoch> written_epochs_;
+  /// Committed-page cache: the newest page this participant committed per
+  /// (relation, partition), moved here from a publish's output at Finish.
+  /// Safe to serve as a base on an exact PageId match, because a committed
+  /// PageId never changes content (see BasePage).
+  std::map<std::pair<std::string, uint32_t>, std::shared_ptr<const Page>>
+      page_cache_;
   PipelineStats pipeline_stats_;
 };
 

@@ -368,40 +368,12 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       Respond(from, req_id, Status::OK(), {});
       return;
     }
-    case kPutPage: {
+    case kPutPage:
+      HandlePutPage(from, r, req_id);
+      return;
+    case kPutCoordinator: {
       // The body after the request id IS the stored record: validate with a
       // full decode, then store the raw wire bytes — no re-encode.
-      std::string_view page_bytes = r->RemainingView();
-      Page page;
-      if (!Page::DecodeFrom(r, &page).ok() || !r->AtEnd()) {
-        Respond(from, req_id, Status::Corruption("bad page"), {});
-        return;
-      }
-      const PageId& id = page.desc.id;
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("page write at fenced epoch " +
-                               std::to_string(id.epoch)),
-                {});
-        return;
-      }
-      store_.Put(keys::PageRec(id.relation, id.epoch, id.partition), page_bytes)
-          .ok();
-      counters_.pages_stored += 1;
-      ChargeCpu(costs.index_entry_us * static_cast<double>(page.ids.size()));
-      // Inverse node bookkeeping: latest page for this partition (§IV).
-      auto cur = ReadInverseLocal(id.relation, id.partition);
-      if (!cur.ok() || cur.value().epoch <= id.epoch) {
-        Writer iw;
-        id.EncodeTo(&iw);
-        store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
-      }
-      Respond(from, req_id, Status::OK(), {});
-      return;
-    }
-    case kPutCoordinator: {
-      // As with kPutPage: validate with a full decode, store the wire bytes.
       std::string_view rec_bytes = r->RemainingView();
       CoordinatorRecord rec;
       if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) {
@@ -543,6 +515,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     case kGetPage: {
       PageId id;
       if (!PageId::DecodeFrom(r, &id).ok()) return;
+      counters_.page_fetches += 1;
       auto bytes = store_.Get(keys::PageRec(id.relation, id.epoch, id.partition));
       if (!bytes.ok()) {
         Respond(from, req_id, bytes.status(), {});
@@ -740,6 +713,144 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     default:
       Respond(from, req_id, Status::NotSupported("unknown storage code"), {});
   }
+}
+
+std::string PutPageFrame::FullEntry(std::string_view page_bytes) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(Form::kFull));
+  w.PutString(page_bytes);
+  return w.Release();
+}
+
+std::string PutPageFrame::DeltaEntry(const PageDelta& delta) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(Form::kDelta));
+  delta.EncodeTo(&w);
+  return w.Release();
+}
+
+std::string PutPageFrame::Encode(const std::vector<std::string_view>& entries) {
+  Writer w;
+  w.PutVarint64(entries.size());
+  for (std::string_view e : entries) w.PutRaw(e.data(), e.size());
+  return w.Release();
+}
+
+std::string PutPageFrame::EncodeNeedFull(const std::vector<PageId>& pages) {
+  if (pages.empty()) return {};
+  Writer w;
+  w.PutVarint64(pages.size());
+  for (const PageId& id : pages) id.EncodeTo(&w);
+  return w.Release();
+}
+
+Status PutPageFrame::DecodeNeedFull(std::string_view body,
+                                    std::vector<PageId>* pages) {
+  pages->clear();
+  if (body.empty()) return Status::OK();
+  Reader r(body);
+  uint64_t n;
+  ORC_RETURN_IF_ERROR(r.GetVarint64(&n));
+  for (uint64_t i = 0; i < n; ++i) {
+    PageId id;
+    ORC_RETURN_IF_ERROR(PageId::DecodeFrom(&r, &id));
+    pages->push_back(std::move(id));
+  }
+  return r.AtEnd() ? Status::OK() : Status::Corruption("need-full: trailing bytes");
+}
+
+void StorageService::HandlePutPage(net::NodeId from, Reader* r, uint64_t req_id) {
+  uint64_t n;
+  if (!r->GetVarint64(&n).ok()) {
+    Respond(from, req_id, Status::Corruption("bad page frame"), {});
+    return;
+  }
+  std::vector<PageId> need_full;
+  Status fenced;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint8_t form;
+    if (!r->GetU8(&form).ok()) {
+      Respond(from, req_id, Status::Corruption("bad page frame"), {});
+      return;
+    }
+    Page page;
+    Status stored;
+    if (form == static_cast<uint8_t>(PutPageFrame::Form::kFull)) {
+      // A full entry IS the stored record: validate with a full decode, then
+      // store the raw wire bytes — no re-encode.
+      std::string_view page_bytes;
+      if (!r->GetStringView(&page_bytes).ok()) {
+        Respond(from, req_id, Status::Corruption("bad page"), {});
+        return;
+      }
+      Reader pr(page_bytes);
+      if (!Page::DecodeFrom(&pr, &page).ok() || !pr.AtEnd()) {
+        Respond(from, req_id, Status::Corruption("bad page"), {});
+        return;
+      }
+      stored = StorePageVersion(page, page_bytes);
+    } else if (form == static_cast<uint8_t>(PutPageFrame::Form::kDelta)) {
+      PageDelta delta;
+      if (!PageDelta::DecodeFrom(r, &delta).ok()) {
+        Respond(from, req_id, Status::Corruption("bad page delta"), {});
+        return;
+      }
+      // Rebuild from the local base and prove it with the crc. A missing
+      // base (this replica missed it, or GC/purge took it) or a mismatch
+      // never fails the publish: the page is named for a full re-send.
+      const PageId base_id = delta.base_id();
+      auto base_bytes =
+          store_.Get(keys::PageRec(base_id.relation, base_id.epoch, base_id.partition));
+      Page base;
+      Writer pw;
+      bool rebuilt = false;
+      if (base_bytes.ok()) {
+        Reader br(base_bytes.value());
+        if (Page::DecodeFrom(&br, &base).ok() &&
+            delta.Materialize(base, &page).ok()) {
+          page.EncodeTo(&pw);
+          rebuilt = PageCrc(pw.data()) == delta.crc;
+        }
+      }
+      if (!rebuilt) {
+        counters_.page_full_fallbacks += 1;
+        need_full.push_back(delta.desc.id);
+        continue;
+      }
+      counters_.page_deltas += 1;
+      stored = StorePageVersion(page, pw.data());
+    } else {
+      Respond(from, req_id, Status::Corruption("bad page entry form"), {});
+      return;
+    }
+    if (stored.IsFenced()) fenced = stored;
+  }
+  if (!fenced.ok()) {
+    Respond(from, req_id, fenced, {});
+    return;
+  }
+  Respond(from, req_id, Status::OK(), PutPageFrame::EncodeNeedFull(need_full));
+}
+
+Status StorageService::StorePageVersion(const Page& page,
+                                        std::string_view page_bytes) {
+  const PageId& id = page.desc.id;
+  if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
+    counters_.fenced_writes_refused += 1;
+    return Status::Fenced("page write at fenced epoch " + std::to_string(id.epoch));
+  }
+  store_.Put(keys::PageRec(id.relation, id.epoch, id.partition), page_bytes).ok();
+  counters_.pages_stored += 1;
+  ChargeCpu(host_->network()->costs().index_entry_us *
+            static_cast<double>(page.ids.size()));
+  // Inverse node bookkeeping: latest page for this partition (§IV).
+  auto cur = ReadInverseLocal(id.relation, id.partition);
+  if (!cur.ok() || cur.value().epoch <= id.epoch) {
+    Writer iw;
+    id.EncodeTo(&iw);
+    store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
+  }
+  return Status::OK();
 }
 
 void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,

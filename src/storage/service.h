@@ -46,6 +46,10 @@ enum StorageCode : uint16_t {
   // publisher batches every tuple write bound for a node — across all
   // relations and partitions — into a single kPutTuples RPC.
   kPutTuples = 2,
+  // One page frame per destination index node and publish (PutPageFrame):
+  // every new page version bound for that node, each as the full page or as
+  // a delta against a base the node already holds. The reply names the
+  // pages the node could not rebuild; the publisher re-sends those in full.
   kPutPage = 3,
   kPutCoordinator = 4,
   kGetCoordinator = 5,
@@ -96,6 +100,22 @@ enum StorageCode : uint16_t {
   // ignored if the local claim committed (a commit is a fact).
   kPurgeEpoch = 20,
   kReply = 100,       // RPC reply envelope
+};
+
+/// The kPutPage frame: `varint64 n`, then n entries, each a form byte and
+/// then either the full page's encoding (`string`) or a PageDelta. Entries
+/// are encoded once per page and shared by every replica's frame. The reply
+/// body is the need-full list: the PageIds whose delta the node could not
+/// rebuild (base missing, crc mismatch), empty when every entry was stored.
+/// One encoder (Publisher::IssueWrites) and one decoder (the kPutPage
+/// handler); the orchestra-lint codec-frame rule keeps it that way.
+struct PutPageFrame {
+  enum class Form : uint8_t { kFull = 0, kDelta = 1 };
+  static std::string FullEntry(std::string_view page_bytes);
+  static std::string DeltaEntry(const PageDelta& delta);
+  static std::string Encode(const std::vector<std::string_view>& entries);
+  static std::string EncodeNeedFull(const std::vector<PageId>& pages);
+  static Status DecodeNeedFull(std::string_view body, std::vector<PageId>* pages);
 };
 
 /// Per-call deadline for epoch discovery: much tighter than the general RPC
@@ -338,6 +358,12 @@ class StorageService : public net::Service {
     uint64_t fences_refused = 0;
     uint64_t fenced_writes_refused = 0;
     uint64_t purged_orphans = 0;
+    // kPutPage: page versions rebuilt from a delta, delta entries named in
+    // the need-full reply (base missing or crc mismatch), and kGetPage
+    // requests served.
+    uint64_t page_deltas = 0;
+    uint64_t page_full_fallbacks = 0;
+    uint64_t page_fetches = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -390,6 +416,13 @@ class StorageService : public net::Service {
   /// never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
   void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
+  /// Decodes one kPutPage frame and stores its entries; replies Fenced if
+  /// any entry's epoch is burned, else OK with the need-full list.
+  void HandlePutPage(net::NodeId from, Reader* r, uint64_t req_id);
+  /// Stores one page version whose encoding is `page_bytes` — the one store
+  /// path of full and delta entries: fence check, put, CPU charge, counters
+  /// and the inverse entry.
+  Status StorePageVersion(const Page& page, std::string_view page_bytes);
   void HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id);
   void HandleFetchTuples(net::NodeId from, Reader* r);
   void HandleTupleData(net::NodeId from, Reader* r);

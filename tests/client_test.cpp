@@ -19,6 +19,7 @@
 #include "common/pending.h"
 #include "deploy/deployment.h"
 #include "storage/publisher.h"
+#include "tests/test_util.h"
 
 namespace orchestra::client {
 namespace {
@@ -128,8 +129,8 @@ TEST_F(SessionTest, DeprecatedShimMatchesSession) {
 
   std::vector<UpdateBatch> batches;
   for (int i = 0; i < 5; ++i) {
-    batches.push_back(OneRow("R", "k" + std::to_string(i % 3),
-                             "v" + std::to_string(i)));
+    batches.push_back(OneRow("R", Numbered("k", i % 3),
+                             Numbered("v", i)));
   }
 
   // New path: Session tickets.
@@ -169,7 +170,7 @@ TEST_F(SessionTest, FlushIsABarrier) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   Session& s = dep->session(0);
   for (int i = 0; i < 3; ++i) {
-    s.Submit(OneRow("R", "k", "v" + std::to_string(i)));
+    s.Submit(OneRow("R", "k", Numbered("v", i)));
   }
   Pending<Epoch> flush = s.Flush();
   EXPECT_FALSE(flush.done());
@@ -206,8 +207,8 @@ TEST_F(SessionTest, PipelinedWindowCommitsInOrderAndChains) {
   std::map<std::string, std::string> model;
   std::vector<Ticket> tickets;
   for (int i = 0; i < 6; ++i) {
-    std::string k = "k" + std::to_string(i % 4);
-    std::string v = "v" + std::to_string(i);
+    std::string k = Numbered("k", i % 4);
+    std::string v = Numbered("v", i);
     model[k] = v;
     tickets.push_back(s.Submit(OneRow("R", k, v)));
   }
@@ -249,8 +250,8 @@ TEST(SessionPipeline, OverlapBeatsSequentialSimTime) {
     sim::SimTime start = dep.sim().now();
     std::vector<Ticket> tickets;
     for (int i = 0; i < 12; ++i) {
-      tickets.push_back(s.Submit(OneRow("R", "k" + std::to_string(i % 5),
-                                        "v" + std::to_string(i))));
+      tickets.push_back(s.Submit(OneRow("R", Numbered("k", i % 5),
+                                        Numbered("v", i))));
     }
     EXPECT_TRUE(dep.RunUntil([&tickets] {
       for (const Ticket& t : tickets) {
@@ -284,7 +285,7 @@ TEST_F(SessionTest, TupleWritesCoalescePerNode) {
   uint64_t before = frames_now();
   UpdateBatch b;
   for (int i = 0; i < 16; ++i) {
-    std::string k = "k" + std::to_string(i);
+    std::string k = Numbered("k", i);
     b["R"].push_back(Update::Insert(Row(k, "r")));
     b["S"].push_back(Update::Insert(Row(k, "s")));
   }
@@ -296,6 +297,122 @@ TEST_F(SessionTest, TupleWritesCoalescePerNode) {
 }
 
 // ---------------------------------------------------------------------------
+// Committed-page cache: a publish takes each base page from its chain
+// ancestor or from this participant's own committed pages, and only on an
+// exact PageId match — a partition another participant rewrote since is
+// named by a different PageId and is fetched instead.
+
+// Partitions of `rel` the batch touches.
+std::set<uint32_t> TouchedPartitions(const storage::RelationDef& def,
+                                     const UpdateBatch& batch) {
+  std::set<uint32_t> parts;
+  for (const Update& u : batch.at(def.name)) {
+    std::string key = storage::EncodeTupleKey(def.schema, u.tuple);
+    parts.insert(storage::PartitionIndexFor(storage::PlacementHash(def, key),
+                                            def.num_partitions));
+  }
+  return parts;
+}
+
+uint64_t NodeSum(deploy::Deployment& dep,
+                 uint64_t storage::StorageService::Counters::*field) {
+  uint64_t n = 0;
+  for (size_t i = 0; i < dep.size(); ++i) n += dep.storage(i).counters().*field;
+  return n;
+}
+
+TEST_F(SessionTest, CachedBasePageNeverOutlivesAnotherWritersCommit) {
+  const storage::RelationDef def = SimpleRelation("R", 2);
+  ASSERT_TRUE(dep->CreateRelation(0, def).ok());
+  const auto& a = dep->publisher(0).pipeline_stats();
+  const auto& b = dep->publisher(1).pipeline_stats();
+  std::map<std::string, std::string> model;
+  // Twenty keys by partition; a round rewrites two keys of each partition.
+  std::vector<std::string> by_part[2];
+  for (int k = 0; k < 20; ++k) {
+    std::string key = Numbered("k", k);
+    UpdateBatch one = OneRow("R", key, "");
+    by_part[*TouchedPartitions(def, one).begin()].push_back(key);
+  }
+  ASSERT_GE(std::min(by_part[0].size(), by_part[1].size()), 2u);
+  auto batch_for = [&](const std::string& who, int round, bool all = false) {
+    UpdateBatch batch;
+    for (const auto& keys : by_part) {
+      for (size_t j = 0; j < keys.size(); ++j) {
+        if (!all && j != round % keys.size() && j != (round + 1) % keys.size()) {
+          continue;
+        }
+        std::string value = Numbered(who, round);
+        batch["R"].push_back(Update::Insert(Row(keys[j], value)));
+        model[keys[j]] = value;
+      }
+    }
+    return batch;
+  };
+  ASSERT_TRUE(dep->Publish(0, batch_for("a", 0, /*all=*/true)).ok());
+  // Participants 1 and 2 take turns rewriting the same two partitions: each
+  // publish's base pages are the OTHER writer's, so every base is fetched
+  // and no publish ever serves its own superseded copy from the cache.
+  for (int round = 1; round <= 4; ++round) {
+    for (size_t node : {size_t{1}, size_t{0}}) {
+      const auto& stats = node == 0 ? a : b;
+      UpdateBatch batch = batch_for(node == 0 ? "a" : "b", round);
+      uint64_t hits = stats.page_cache_hits, fetches = stats.page_fetches;
+      ASSERT_TRUE(dep->Publish(node, std::move(batch)).ok());
+      EXPECT_EQ(stats.page_cache_hits, hits) << "round " << round << " node " << node;
+      EXPECT_EQ(stats.page_fetches, fetches + 2) << "round " << round << " node " << node;
+    }
+  }
+  // Back to back, the same writer's own committed pages are the bases.
+  uint64_t fetches = a.page_fetches;
+  auto epoch = dep->Publish(0, batch_for("a", 5));
+  ASSERT_TRUE(epoch.ok());
+  EXPECT_EQ(a.page_cache_hits, 2u);
+  EXPECT_EQ(a.page_fetches, fetches);
+  EXPECT_EQ(NodeSum(*dep, &storage::StorageService::Counters::page_fetches),
+            a.page_fetches + b.page_fetches);
+  EXPECT_EQ(a.page_full_fallbacks + b.page_full_fallbacks, 0u);
+  EXPECT_EQ(NodeSum(*dep, &storage::StorageService::Counters::page_full_fallbacks), 0u);
+  EXPECT_GT(NodeSum(*dep, &storage::StorageService::Counters::page_deltas), 0u);
+
+  auto rows = dep->Retrieve(2, "R", *epoch);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsMap(*rows), model);
+}
+
+TEST_F(SessionTest, PipelinedSessionTakesBasePagesFromTheChain) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 2)).ok());
+  Session& s = dep->session(0);
+  const auto& stats = dep->publisher(0).pipeline_stats();
+  std::map<std::string, std::string> model;
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < 8; ++i) {
+    UpdateBatch batch;
+    for (int k = 0; k < 4; ++k) {
+      std::string key = Numbered("k", (i + k) % 6);
+      std::string value = Numbered("v", i);
+      batch["R"].push_back(Update::Insert(Row(key, value)));
+      model[key] = value;
+    }
+    tickets.push_back(s.Submit(std::move(batch)));
+  }
+  ASSERT_TRUE(Drive([&tickets] {
+    for (const Ticket& t : tickets) {
+      if (!t.epoch.done()) return false;
+    }
+    return true;
+  }));
+  for (const Ticket& t : tickets) ASSERT_TRUE(t.epoch.ok()) << t.epoch.status().ToString();
+  EXPECT_GT(stats.chained, 0u);
+  EXPECT_GT(stats.page_chain_hits, 0u);
+  EXPECT_EQ(stats.page_fetches, 0u);
+  EXPECT_EQ(stats.page_full_fallbacks, 0u);
+  auto rows = dep->Retrieve(1, "R", tickets.back().epoch.value());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsMap(*rows), model);
+}
+
+// ---------------------------------------------------------------------------
 // Failure semantics
 
 TEST_F(SessionTest, FailureAbortsSuffixAndSameBatchRetryRecovers) {
@@ -304,7 +421,7 @@ TEST_F(SessionTest, FailureAbortsSuffixAndSameBatchRetryRecovers) {
 
   std::vector<UpdateBatch> batches;
   for (int i = 0; i < 4; ++i) {
-    batches.push_back(OneRow("R", "k" + std::to_string(i), "v" + std::to_string(i)));
+    batches.push_back(OneRow("R", Numbered("k", i), Numbered("v", i)));
   }
   Session& s = dep->session(0);
   std::vector<Ticket> tickets;
@@ -363,7 +480,7 @@ TEST_F(SessionTest, TicketsResolveWhenSessionNodeDies) {
   Session& s = dep->session(1);
   std::vector<Ticket> tickets;
   for (int i = 0; i < 3; ++i) {
-    tickets.push_back(s.Submit(OneRow("R", "k" + std::to_string(i), "v")));
+    tickets.push_back(s.Submit(OneRow("R", Numbered("k", i), "v")));
   }
   dep->KillNode(1);  // the session's own node
   // No driving needed: the kill path fails the tickets synchronously — a
@@ -391,8 +508,8 @@ TEST_F(SessionTest, BackpressureShrinksWindowWithoutLosingPublishes) {
   std::map<std::string, std::string> model;
   std::vector<Ticket> tickets;
   for (int i = 0; i < 8; ++i) {
-    std::string k = "k" + std::to_string(i);
-    model[k] = "v";
+    std::string k = Numbered("k", i);
+    model.emplace(k, "v");
     tickets.push_back(s.Submit(OneRow("R", k, "v")));
   }
   ASSERT_TRUE(Drive(
@@ -419,7 +536,7 @@ TEST_F(SessionTest, BackpressureShrinksWindowWithoutLosingPublishes) {
   dep->RunFor(3 * sim::kMicrosPerSec);  // age out stale hints
   std::vector<Ticket> more;
   for (int i = 0; i < 6; ++i) {
-    more.push_back(s.Submit(OneRow("R", "m" + std::to_string(i), "v")));
+    more.push_back(s.Submit(OneRow("R", Numbered("m", i), "v")));
   }
   ASSERT_TRUE(Drive([&more] {
     for (const Ticket& t : more) {
@@ -516,8 +633,8 @@ TEST_F(SessionTest, NoTornOrShadowedVersionsAcrossFullHistory) {
     std::vector<std::pair<std::string, std::string>> rows;
     for (size_t w = 0; w < kWriters; ++w) {
       // Disjoint per-writer key stripes, fresh value per round.
-      std::string k = "w" + std::to_string(w) + "k" + std::to_string(round % 2);
-      std::string v = "r" + std::to_string(round);
+      std::string k = Numbered("w", w).append(Numbered("k", round % 2));
+      std::string v = Numbered("r", round);
       rows.emplace_back(k, v);
       tickets.push_back(dep->session(w).Submit(OneRow("R", k, v)));
     }
@@ -573,7 +690,7 @@ TEST(MultiWriter, GcWatermarkIsMinAcrossParticipants) {
   // window), so nothing the slow writer bases on is retired.
   Epoch last = 0;
   for (int i = 0; i < 8; ++i) {
-    auto e = dep.Publish(0, OneRow("R", "fast", "v" + std::to_string(i)));
+    auto e = dep.Publish(0, OneRow("R", "fast", Numbered("v", i)));
     ASSERT_TRUE(e.ok());
     last = *e;
   }
@@ -652,8 +769,8 @@ TEST(Fencing, FencedMidPublishFailsTicketAndAbortsSuccessorsInOrder) {
   Session& zombie = dep.session(writer);
   std::vector<UpdateBatch> batches;
   for (int i = 0; i < 3; ++i) {
-    batches.push_back(OneRow("R", "k" + std::to_string(i),
-                             "v" + std::to_string(i)));
+    batches.push_back(OneRow("R", Numbered("k", i),
+                             Numbered("v", i)));
   }
   std::vector<Ticket> tickets;
   for (const UpdateBatch& b : batches) tickets.push_back(zombie.Submit(b));

@@ -3,6 +3,7 @@
 #include "common/serial.h"
 #include "hash/hash_id.h"
 #include "hash/sha1.h"
+#include "tests/test_util.h"
 
 namespace orchestra {
 namespace {
@@ -156,7 +157,7 @@ class PartitionProperty : public ::testing::TestWithParam<uint32_t> {};
 TEST_P(PartitionProperty, EveryHashLandsInItsPartition) {
   uint32_t n = GetParam();
   for (int i = 0; i < 200; ++i) {
-    HashId h = HashId::OfBytes("key-" + std::to_string(i));
+    HashId h = HashId::OfBytes(Numbered("key-", i));
     // PartitionIndexFor agrees with the boundary arithmetic.
     uint32_t idx = 0;
     HashId width = HashId::SpacePartition(n);

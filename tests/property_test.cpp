@@ -14,6 +14,7 @@
 #include "query/reference.h"
 #include "sql/parser.h"
 #include "optimizer/optimizer.h"
+#include "tests/test_util.h"
 
 namespace orchestra {
 namespace {
@@ -152,7 +153,7 @@ TEST_P(RandomQueryProperty, DistributedMatchesReference) {
   int n_dim = 10 + static_cast<int>(rng.Uniform(20));
   for (int i = 0; i < n_dim; ++i) {
     Tuple t = {Value(static_cast<int64_t>(i)),
-               Value("L" + std::to_string(i % 5))};
+               Value(Numbered("L", i % 5))};
     ref_db["D"].push_back(t);
     batch["D"].push_back(Update::Insert(std::move(t)));
   }
@@ -180,7 +181,7 @@ TEST_P(RandomQueryProperty, DistributedMatchesReference) {
   // A few random query shapes per seed.
   std::vector<std::string> queries;
   int64_t cut = static_cast<int64_t>(rng.Uniform(n_fact));
-  queries.push_back("SELECT fk, m FROM F WHERE fk < " + std::to_string(cut));
+  queries.push_back(Numbered("SELECT fk, m FROM F WHERE fk < ", cut));
   queries.push_back("SELECT grp, COUNT(*), SUM(m) FROM F GROUP BY grp");
   queries.push_back("SELECT label, SUM(m) FROM F, D WHERE F.dim = D.dk "
                     "GROUP BY label");

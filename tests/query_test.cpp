@@ -8,6 +8,7 @@
 #include "query/plan.h"
 #include "query/reference.h"
 #include "query/service.h"
+#include "tests/test_util.h"
 
 namespace orchestra::query {
 namespace {
@@ -230,7 +231,7 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   Deploy(4);
   std::vector<Tuple> rows;
   for (int i = 0; i < 200; ++i) {
-    rows.push_back({S("k" + std::to_string(i)), S("v" + std::to_string(i % 7))});
+    rows.push_back({S(Numbered("k", i)), S(Numbered("v", i % 7))});
   }
   LoadRows("R", rows);
 
@@ -248,7 +249,7 @@ TEST_F(QueryClusterTest, SelectPushesPredicate) {
   Deploy(4);
   std::vector<Tuple> rows;
   for (int i = 0; i < 100; ++i) {
-    rows.push_back({S("k" + std::to_string(i)), S(i % 2 ? "odd" : "even")});
+    rows.push_back({S(Numbered("k", i)), S(i % 2 ? "odd" : "even")});
   }
   LoadRows("R", rows);
 
@@ -281,7 +282,7 @@ TEST_F(QueryClusterTest, ProjectAndCompute) {
 TEST_F(QueryClusterTest, CoveringScanReadsKeysOnly) {
   Deploy(4);
   std::vector<Tuple> rows;
-  for (int i = 0; i < 60; ++i) rows.push_back({S("key" + std::to_string(i)), S("pay")});
+  for (int i = 0; i < 60; ++i) rows.push_back({S(Numbered("key", i)), S("pay")});
   LoadRows("R", rows);
 
   PlanBuilder b;
@@ -352,12 +353,12 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
   Rng rng(99);
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 300; ++i) {
-    r_rows.push_back({S("rk" + std::to_string(i)),
-                      S("j" + std::to_string(rng.Uniform(40)))});
+    r_rows.push_back({S(Numbered("rk", i)),
+                      S(Numbered("j", rng.Uniform(40)))});
   }
   for (int i = 0; i < 150; ++i) {
-    s_rows.push_back({S("j" + std::to_string(rng.Uniform(40))),
-                      S("z" + std::to_string(i))});
+    s_rows.push_back({S(Numbered("j", rng.Uniform(40))),
+                      S(Numbered("z", i))});
   }
   // S's key is column 0 (the join attribute); keys must be unique.
   std::map<std::string, Tuple> uniq;
@@ -388,10 +389,10 @@ TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
   Rng rng(123);
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 200; ++i) {
-    r_rows.push_back({S("rk" + std::to_string(i)),
-                      S("v" + std::to_string(rng.Uniform(25)))});
-    s_rows.push_back({S("sk" + std::to_string(i)),
-                      S("v" + std::to_string(rng.Uniform(25)))});
+    r_rows.push_back({S(Numbered("rk", i)),
+                      S(Numbered("v", rng.Uniform(25)))});
+    s_rows.push_back({S(Numbered("sk", i)),
+                      S(Numbered("v", rng.Uniform(25)))});
   }
   LoadRows("R", r_rows);
   LoadRows("S", s_rows);
@@ -417,8 +418,8 @@ TEST_F(QueryClusterTest, DistributedAggregationWithReaggregation) {
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
   for (int i = 0; i < 500; ++i) {
-    std::string g = "g" + std::to_string(rng.Uniform(7));
-    rows.push_back({S("k" + std::to_string(i)), S(g)});
+    std::string g = Numbered("g", rng.Uniform(7));
+    rows.push_back({S(Numbered("k", i)), S(g)});
     expect_counts[g] += 1;
   }
   LoadRows("R", rows);
@@ -492,12 +493,12 @@ class RecoveryTest : public QueryClusterTest {
     Rng rng(seed);
     std::vector<Tuple> r_rows, s_rows;
     for (int i = 0; i < n_r; ++i) {
-      r_rows.push_back({S("rk" + std::to_string(i)),
-                        S("j" + std::to_string(rng.Uniform(50)))});
+      r_rows.push_back({S(Numbered("rk", i)),
+                        S(Numbered("j", rng.Uniform(50)))});
     }
     for (int i = 0; i < n_s; ++i) {
-      s_rows.push_back({S("j" + std::to_string(i % 50)),
-                        S("z" + std::to_string(i))});
+      s_rows.push_back({S(Numbered("j", i % 50)),
+                        S(Numbered("z", i))});
     }
     std::map<std::string, Tuple> uniq;
     for (auto& t : s_rows) uniq[t[0].AsString()] = t;
@@ -596,8 +597,8 @@ TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
   for (int i = 0; i < 5000; ++i) {
-    std::string g = "g" + std::to_string(rng.Uniform(10));
-    rows.push_back({S("k" + std::to_string(i)), S(g)});
+    std::string g = Numbered("g", rng.Uniform(10));
+    rows.push_back({S(Numbered("k", i)), S(g)});
     expect_counts[g] += 1;
   }
   LoadRows("R", rows);

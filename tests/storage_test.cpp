@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "deploy/deployment.h"
@@ -11,6 +12,7 @@
 #include "storage/schema.h"
 #include "storage/service.h"
 #include "storage/value.h"
+#include "tests/test_util.h"
 
 namespace orchestra::storage {
 namespace {
@@ -115,7 +117,7 @@ TEST(Page, PartitionGeometry) {
     // Random keys land in consistent partitions.
     Rng rng(parts);
     for (int i = 0; i < 50; ++i) {
-      HashId h = HashId::OfBytes("p" + std::to_string(rng.NextU64()));
+      HashId h = HashId::OfBytes(Numbered("p", rng.NextU64()));
       uint32_t idx = PartitionIndexFor(h, parts);
       EXPECT_TRUE(h.InRange(PartitionBegin(idx, parts), PartitionEnd(idx, parts)));
     }
@@ -302,7 +304,7 @@ TEST_F(StorageClusterTest, LargeBatchRoundTrips) {
   UpdateBatch batch;
   std::multiset<std::string> expect;
   for (int i = 0; i < 500; ++i) {
-    Tuple t = Row("key-" + std::to_string(i), rng.AlphaString(20));
+    Tuple t = Row(Numbered("key-", i), rng.AlphaString(20));
     expect.insert(TupleToString(t));
     batch["R"].push_back(Update::Insert(std::move(t)));
   }
@@ -316,7 +318,7 @@ TEST_F(StorageClusterTest, SurvivesSingleNodeFailure) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(Numbered("k", i), "v")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
 
@@ -358,7 +360,7 @@ TEST_F(StorageClusterTest, ReplicateEverywhereRelation) {
   ASSERT_TRUE(dep->CreateRelation(0, def).ok());
   UpdateBatch batch;
   for (int i = 0; i < 25; ++i) {
-    batch["Nation"].push_back(Update::Insert(Row("n" + std::to_string(i), "meta")));
+    batch["Nation"].push_back(Update::Insert(Row(Numbered("n", i), "meta")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
   // Every node holds every tuple.
@@ -378,7 +380,7 @@ TEST_F(StorageClusterTest, NewNodeReceivesReplicasViaRebalance) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(Numbered("k", i), "v")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
 
@@ -443,7 +445,7 @@ TEST_F(StorageClusterTest, PublishedPageHashesMatchFreshPlacementHash) {
   Rng rng(11);
   for (int i = 0; i < 200; ++i) {
     batch["R"].push_back(
-        Update::Insert(Row("key-" + std::to_string(i), rng.AlphaString(12))));
+        Update::Insert(Row(Numbered("key-", i), rng.AlphaString(12))));
   }
   auto epoch = dep->Publish(0, std::move(batch));
   ASSERT_TRUE(epoch.ok());
@@ -473,7 +475,7 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   // publisher AND every kPutTuples/kPutPage receiver in the cluster.
   UpdateBatch first;
   for (int i = 0; i < 150; ++i) {
-    first["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    first["R"].push_back(Update::Insert(Row(Numbered("k", i), "v")));
   }
   uint64_t before = TupleKeyHashCount();
   ASSERT_TRUE(dep->Publish(0, std::move(first)).ok());
@@ -483,7 +485,7 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   // stored hashes, so the count is again exactly the update count.
   UpdateBatch second;
   for (int i = 0; i < 40; ++i) {
-    second["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "w")));
+    second["R"].push_back(Update::Insert(Row(Numbered("k", i), "w")));
   }
   before = TupleKeyHashCount();
   ASSERT_TRUE(dep->Publish(0, std::move(second)).ok());
@@ -591,7 +593,7 @@ TEST_F(StorageClusterTest, WatermarkRetiresSupersededVersions) {
   ASSERT_TRUE(dep->Publish(0, std::move(e)).ok());
   for (int i = 1; i <= 3; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k", "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row("k", Numbered("v", i)))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   UpdateBatch del;
@@ -639,7 +641,7 @@ TEST_F(StorageClusterTest, WatermarkRetiresPageAndCoordinatorRecords) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 2)).ok());
   for (int i = 0; i < 6; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i % 2), "v"))};
+    u["R"] = {Update::Insert(Row(Numbered("k", i % 2), "v"))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   size_t coords_before = 0, pages_before = 0;
@@ -674,7 +676,7 @@ TEST_F(StorageClusterTest, PublisherAdvertisesWatermark) {
   Epoch last = 0;
   for (int i = 0; i < 8; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("hot", "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row("hot", Numbered("v", i)))};
     auto e = dep->Publish(0, std::move(u));
     ASSERT_TRUE(e.ok());
     last = *e;
@@ -711,7 +713,7 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   Epoch last = 0;
   for (int i = 0; i < 6; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i % 2), "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row(Numbered("k", i % 2), Numbered("v", i)))};
     auto e = dep.Publish(0, std::move(u));
     ASSERT_TRUE(e.ok());
     last = *e;
@@ -903,7 +905,7 @@ TEST_F(StorageClusterTest, RelationCreatedMidStreamStaysPublishable) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   for (int i = 0; i < 4; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i), "v"))};
+    u["R"] = {Update::Insert(Row(Numbered("k", i), "v"))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   // S's first record lands at the CURRENT epoch (4); the next publish's base
@@ -1137,6 +1139,8 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   pg.hashes = {h};
   Writer pw;
   pg.EncodeTo(&pw);
+  const std::string page_frame =
+      PutPageFrame::Encode({PutPageFrame::FullEntry(pw.data())});
   CoordinatorRecord crec;
   crec.relation = "R";
   crec.epoch = 3;
@@ -1147,7 +1151,7 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   for (size_t n = 0; n < dep->size(); ++n) {
     auto id = static_cast<net::NodeId>(n);
     ASSERT_TRUE(Rpc(id, kClaimEpoch, ClaimBody(3, 7, 3, 9)).first.ok());
-    ASSERT_TRUE(Rpc(id, kPutPage, pw.data()).first.ok());
+    ASSERT_TRUE(Rpc(id, kPutPage, page_frame).first.ok());
     ASSERT_TRUE(Rpc(id, kPutCoordinator, cw.data()).first.ok());
   }
   // The torn chain IS visible to discovery: epoch-3 reads walk the orphan
@@ -1193,7 +1197,7 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   }
 
   // The fenced instance's late same-epoch writes are refused everywhere.
-  EXPECT_TRUE(Rpc(1, kPutPage, pw.data()).first.IsFenced());
+  EXPECT_TRUE(Rpc(1, kPutPage, page_frame).first.IsFenced());
   EXPECT_TRUE(Rpc(1, kPutCoordinator, cw.data()).first.IsFenced());
   Writer tw;
   tw.PutVarint64(1);  // one relation
@@ -1211,6 +1215,173 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   EXPECT_TRUE(
       Rpc(1, kConfirmEpoch, ConfirmBody(3, 7, 3, 9)).first.IsFenced());
   EXPECT_GE(dep->storage(1).counters().fenced_writes_refused, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// kPutPage frames: full and delta entries share one store path; a delta is
+// rebuilt from the node's local base and proved by its crc, and a delta the
+// node cannot rebuild is named for a full re-send instead of failing.
+
+// One partition of relation "R" listing (key, epoch) rows, sorted by
+// (hash, key) the way publishers build pages.
+Page HandPage(Epoch epoch, const std::vector<std::pair<std::string, Epoch>>& rows) {
+  Page pg;
+  pg.desc.id = PageId{"R", epoch, 0};
+  pg.desc.num_partitions = 1;
+  std::vector<std::tuple<HashId, std::string, Epoch>> sorted;
+  for (const auto& [key, e] : rows) sorted.emplace_back(TupleKeyHash(key), key, e);
+  std::sort(sorted.begin(), sorted.end());
+  for (const auto& [h, key, e] : sorted) {
+    pg.ids.push_back(TupleId{key, e});
+    pg.hashes.push_back(h);
+  }
+  return pg;
+}
+
+std::string Encoded(const Page& pg) {
+  Writer w;
+  pg.EncodeTo(&w);
+  return w.Release();
+}
+
+std::string FullFrame(const Page& pg) {
+  return PutPageFrame::Encode({PutPageFrame::FullEntry(Encoded(pg))});
+}
+
+std::string DeltaFrame(const Page& base, const Page& next, uint32_t crc) {
+  return PutPageFrame::Encode(
+      {PutPageFrame::DeltaEntry(PageDelta::Between(base, next, crc))});
+}
+
+class PutPageTest : public FencingTest {
+ protected:
+  // Epoch 1 holds a, b, c; epoch 2 keeps a, re-versions b, drops c, adds d.
+  const Page base = HandPage(1, {{"a", 1}, {"b", 1}, {"c", 1}});
+  const Page next = HandPage(2, {{"a", 1}, {"b", 2}, {"d", 2}});
+
+  Result<std::string> Stored(size_t node, Epoch e) {
+    return dep->storage(node).store().Get(keys::PageRec("R", e, 0));
+  }
+  std::vector<PageId> NeedFull(const std::string& reply) {
+    std::vector<PageId> pages;
+    EXPECT_TRUE(PutPageFrame::DecodeNeedFull(reply, &pages).ok());
+    return pages;
+  }
+};
+
+TEST(PageDeltaCodec, RoundTripsAndRebuildsTheNewVersion) {
+  Page base = HandPage(3, {{"k1", 1}, {"k2", 2}, {"k3", 3}, {"k4", 1}});
+  Page next = HandPage(5, {{"k2", 5}, {"k4", 1}, {"k5", 5}, {"k6", 5}});
+  PageDelta d = PageDelta::Between(base, next, PageCrc(Encoded(next)));
+  EXPECT_EQ(d.base_id(), base.desc.id);
+  EXPECT_EQ(d.removed.size(), 2u);  // k1, k3
+  EXPECT_EQ(d.added.size(), 3u);    // k2 re-versioned, k5, k6
+  Writer w;
+  d.EncodeTo(&w);
+  Reader r(w.data());
+  PageDelta back;
+  ASSERT_TRUE(PageDelta::DecodeFrom(&r, &back).ok());
+  EXPECT_TRUE(r.AtEnd());
+  Page rebuilt;
+  ASSERT_TRUE(back.Materialize(base, &rebuilt).ok());
+  EXPECT_EQ(Encoded(rebuilt), Encoded(next));
+  EXPECT_EQ(PageCrc(Encoded(rebuilt)), back.crc);
+  // A base the delta was not cut against is refused, not half-applied.
+  Page other = HandPage(4, {{"k1", 1}});
+  EXPECT_FALSE(back.Materialize(other, &rebuilt).ok());
+}
+
+TEST_F(PutPageTest, DeltaStoresBytesIdenticalToFullPut) {
+  for (net::NodeId n : {1u, 2u}) {
+    auto [s, reply] = Rpc(n, kPutPage, FullFrame(base));
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(reply.empty());
+  }
+  std::string delta = DeltaFrame(base, next, PageCrc(Encoded(next)));
+  EXPECT_LT(delta.size(), FullFrame(next).size());
+  auto [ds, dreply] = Rpc(1, kPutPage, delta);
+  ASSERT_TRUE(ds.ok()) << ds.ToString();
+  EXPECT_TRUE(NeedFull(dreply).empty());
+  ASSERT_TRUE(Rpc(2, kPutPage, FullFrame(next)).first.ok());
+
+  auto via_delta = Stored(1, 2);
+  auto via_full = Stored(2, 2);
+  ASSERT_TRUE(via_delta.ok());
+  ASSERT_TRUE(via_full.ok());
+  EXPECT_EQ(*via_delta, *via_full);
+  EXPECT_EQ(*via_delta, Encoded(next));
+  EXPECT_EQ(dep->storage(1).counters().page_deltas, 1u);
+  EXPECT_EQ(dep->storage(1).counters().pages_stored, 2u);
+  EXPECT_EQ(dep->storage(2).counters().page_deltas, 0u);
+  // The inverse entry advances to the rebuilt version, as for a full put.
+  auto inverse = dep->storage(1).ReadInverseLocal("R", 0);
+  ASSERT_TRUE(inverse.ok());
+  EXPECT_EQ(*inverse, next.desc.id);
+}
+
+TEST_F(PutPageTest, MissingBaseIsNamedForAFullResend) {
+  // Node 3 never received the base.
+  auto [s, reply] = Rpc(3, kPutPage, DeltaFrame(base, next, PageCrc(Encoded(next))));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(NeedFull(reply), std::vector<PageId>{next.desc.id});
+  EXPECT_FALSE(Stored(3, 2).ok());
+  EXPECT_EQ(dep->storage(3).counters().page_full_fallbacks, 1u);
+  EXPECT_EQ(dep->storage(3).counters().pages_stored, 0u);
+}
+
+TEST_F(PutPageTest, CrcMismatchIsRefusedAndNothingStored) {
+  ASSERT_TRUE(Rpc(1, kPutPage, FullFrame(base)).first.ok());
+  auto [s, reply] =
+      Rpc(1, kPutPage, DeltaFrame(base, next, PageCrc(Encoded(next)) + 1));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(NeedFull(reply), std::vector<PageId>{next.desc.id});
+  EXPECT_FALSE(Stored(1, 2).ok());
+  EXPECT_EQ(dep->storage(1).counters().page_deltas, 0u);
+  auto inverse = dep->storage(1).ReadInverseLocal("R", 0);
+  ASSERT_TRUE(inverse.ok());
+  EXPECT_EQ(*inverse, base.desc.id);
+}
+
+TEST_F(PutPageTest, DeltaAtAFencedEpochIsRefusedLikeAFullEntry) {
+  ASSERT_TRUE(Rpc(1, kPutPage, FullFrame(base)).first.ok());
+  dep->storage(0).SendOneWay(1, kPurgeEpoch, PurgeBody(2, 7, 9));
+  dep->RunFor(sim::kMicrosPerSec / 5);
+  ASSERT_TRUE(dep->storage(1).IsEpochFenced(2));
+  uint64_t refused = dep->storage(1).counters().fenced_writes_refused;
+  EXPECT_TRUE(Rpc(1, kPutPage, DeltaFrame(base, next, PageCrc(Encoded(next))))
+                  .first.IsFenced());
+  EXPECT_TRUE(Rpc(1, kPutPage, FullFrame(next)).first.IsFenced());
+  EXPECT_EQ(dep->storage(1).counters().fenced_writes_refused, refused + 2);
+  EXPECT_FALSE(Stored(1, 2).ok());
+}
+
+// End to end: an index replica that lost a base page gets the next version
+// in full from the publisher, and the publish commits.
+TEST_F(StorageClusterTest, PublishCommitsWhenAReplicaLacksTheBase) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 1)).ok());
+  UpdateBatch e1;
+  e1["R"] = {Update::Insert(Row("a", "1")), Update::Insert(Row("b", "1"))};
+  ASSERT_TRUE(dep->Publish(0, std::move(e1)).ok());
+  size_t dropped = 0;
+  for (size_t n = 0; n < dep->size() && dropped == 0; ++n) {
+    auto& store = dep->storage(n).store();
+    if (store.Contains(keys::PageRec("R", 1, 0))) {
+      ASSERT_TRUE(store.Delete(keys::PageRec("R", 1, 0)).ok());
+      ++dropped;
+    }
+  }
+  ASSERT_EQ(dropped, 1u);
+  const auto& ps = dep->publisher(0).pipeline_stats();
+  uint64_t hits = ps.page_cache_hits;
+  UpdateBatch e2;
+  e2["R"] = {Update::Insert(Row("c", "2")), Update::Delete(Row("a", ""))};
+  auto epoch = dep->Publish(0, std::move(e2));
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(ps.page_cache_hits, hits + 1);  // the base came from the cache
+  EXPECT_EQ(ps.page_full_fallbacks, 1u);    // one replica needed it in full
+  auto rows = dep->Retrieve(1, "R", *epoch);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsBag(*rows), AsBag({Row("b", "1"), Row("c", "2")}));
 }
 
 }  // namespace

@@ -235,10 +235,10 @@ _FRAME_HOME = ["src/storage/service.h", "src/storage/service.cc",
 
 RULES.append(regex_rule(
     "codec-frame",
-    r"\bkPutTuples\b",
-    "the kPutTuples nested frame has one encoder (Publisher::IssueWrites) "
-    "and one decoder (StorageService, case kPutTuples); building or parsing "
-    "it elsewhere forks the wire format",
+    r"\bkPut(Tuples|Page)\b|\bPutPageFrame\b",
+    "the kPutTuples and kPutPage publish frames each have one encoder "
+    "(Publisher::IssueWrites) and one decoder (StorageService); building or "
+    "parsing them elsewhere forks the wire format",
     scope=["src/"], exclude=_FRAME_HOME))
 
 # --- RPC lifecycle ---------------------------------------------------------
