@@ -16,7 +16,13 @@
 #   docs       relative-link check over README/docs/ + compile every example
 #   all        every stage above, in that order
 #
-#   ci/check.sh [stage]    # default: all
+#   digests    (not part of `all`) run churn_test unsharded and write its
+#              sorted per-seed trace digests to build/churn_digests.txt;
+#              with a baseline file, diff against it and fail on any change
+#              — the evidence that a behaviour-preserving change is one
+#
+#   ci/check.sh [stage]                   # default: all
+#   ci/check.sh digests [baseline-file]
 #
 # A failing stage prints the exact command to reproduce it in isolation.
 #
@@ -24,6 +30,7 @@
 # its ops_per_sec drops below tolerance * committed — generous because wall
 # clock varies across machines; deterministic sim metrics use tight bounds.
 set -euo pipefail
+caller_dir="$PWD"
 cd "$(dirname "$0")/.."
 
 stage="${1:-all}"
@@ -44,7 +51,7 @@ trap on_exit EXIT
 
 run_stage() {
   current_stage="$2"
-  "$1"
+  "$1" "${@:3}"
   current_stage=""
 }
 
@@ -311,6 +318,24 @@ PY
   echo "docs stage OK: $(echo "$examples" | wc -w) examples compiled"
 }
 
+digests() {
+  echo "== digests: per-seed churn trace digests (unsharded churn_test)"
+  local baseline="${1:-}"
+  if [[ -n "$baseline" && "$baseline" != /* ]]; then
+    baseline="$caller_dir/$baseline"
+  fi
+  cmake -B build -S .
+  cmake --build build -j "$jobs" --target churn_test
+  # Unsharded: every sweep seed runs in this one process.
+  env -u ORCHESTRA_CHURN_BUCKET -u ORCHESTRA_CHURN_SEED ./build/churn_test \
+    | { grep '^churn-digest ' || true; } | sort > build/churn_digests.txt
+  echo "wrote build/churn_digests.txt ($(wc -l < build/churn_digests.txt) seeds)"
+  if [[ -n "$baseline" ]]; then
+    diff -u "$baseline" build/churn_digests.txt
+    echo "digests match $baseline"
+  fi
+}
+
 case "$stage" in
   tier1) run_stage tier1 tier1 ;;
   release) run_stage release release ;;
@@ -321,6 +346,7 @@ case "$stage" in
   bench) run_stage bench_smoke bench ;;
   benchdiff) run_stage bench_diff benchdiff ;;
   docs) run_stage docs_check docs ;;
+  digests) run_stage digests digests "${2:-}" ;;
   all)
     run_stage tier1 tier1
     run_stage release release
@@ -334,6 +360,7 @@ case "$stage" in
     ;;
   *)
     echo "usage: ci/check.sh [tier1|release|sanitize|tsan|lint|tidy|bench|benchdiff|docs|all]" >&2
+    echo "       ci/check.sh digests [baseline-file]" >&2
     exit 2
     ;;
 esac

@@ -71,12 +71,9 @@ struct SessionOptions {
   /// participants; a non-zero value is installed on the session's publisher
   /// at construction (one publisher = one participant).
   storage::ParticipantId participant = 0;
-  /// Max publishes in flight. >1 enables pipelined chaining; 1 reproduces
-  /// the legacy one-at-a-time behavior exactly.
+  /// Max publishes in flight. >1 enables pipelined chaining; 1 publishes
+  /// one batch at a time, each with full epoch discovery.
   size_t max_window = 4;
-  /// Disables chaining (forces an effective window of 1) without changing
-  /// the API — the deprecation-shim equivalence knob.
-  bool pipeline = true;
   /// Shrink the window when any peer's recent load hint reaches this.
   uint32_t load_high_watermark = 192;
   /// Grow the window back once the worst recent hint is at or below this.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include "common/log.h"
@@ -525,7 +524,9 @@ void LocalStore::ReplayDelete(std::string_view key) {
 }
 
 Status LocalStore::Recover() {
-  if (wal_ == nullptr) return RecoverFromMemoryLog();
+  if (wal_ == nullptr) {
+    return Status::FailedPrecondition("localstore: Recover needs a WAL backend");
+  }
 
   // Crash-restart: every in-memory structure is gone; the WAL's checkpoint
   // manifest plus the segments past it are the sole source of truth.
@@ -557,46 +558,6 @@ Status LocalStore::Recover() {
   stats_.segments_retired = wal_->stats().segments_retired;
   appends_since_checkpoint_ = tail_records;
   return st;
-}
-
-Status LocalStore::RecoverFromMemoryLog() {
-  // Replay the log into a key -> position map (views into the live arena).
-  std::map<std::string_view, uint64_t> rebuilt;
-  for (uint64_t pos = 0; pos < log_.size(); ++pos) {
-    const Slot& rec = log_[pos];
-    if (rec.key_len == 0) return Status::Corruption("localstore: empty key in log");
-    if (rec.is_delete) {
-      rebuilt.erase(rec.key());
-    } else {
-      rebuilt[rec.key()] = pos;
-    }
-  }
-  // The replayed state must match the live indexes exactly; divergence
-  // means the log is not the source of truth any more.
-  bool diverged = rebuilt.size() != hcount_;
-  if (!diverged) {
-    auto it = Seek("");
-    for (const auto& [key, pos] : rebuilt) {
-      if (!it.Valid() || it.key() != key || live_[it.leaf_->e[it.idx_].live_idx] != pos) {
-        diverged = true;
-        break;
-      }
-      it.Next();
-    }
-    if (!diverged && it.Valid()) diverged = true;
-  }
-
-  // Rebuild both indexes from the replayed state.
-  TreeClear();
-  htable_.clear();
-  hcount_ = 0;
-  live_.clear();
-  for (const auto& [key, pos] : rebuilt) IndexLiveRecord(pos);
-  stats_.live_records = hcount_;
-  if (diverged) {
-    return Status::Corruption("localstore: index diverged from log replay");
-  }
-  return Status::OK();
 }
 
 void LocalStore::MaybeCompact() {

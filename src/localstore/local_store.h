@@ -7,7 +7,7 @@
 // in the spirit of the log-structured filesystems that inspired the paper's
 // versioned page scheme (§IV): writes append; the indexes point at live
 // records; compaction reclaims superseded records; Recover() rebuilds the
-// indexes by replaying the log.
+// store from its WAL (checkpoint plus tail).
 //
 // Layout, tuned for the publish/scan hot paths:
 //   * record bytes live in a chunked append-only arena — one memcpy per
@@ -71,8 +71,8 @@ struct StoreOptions {
   uint64_t compaction_min_records = 4096;
   /// Durability: when set, every mutation is framed into a segmented WAL on
   /// this backend and Recover() rebuilds from the newest checkpoint plus the
-  /// tail segments past it. Null keeps the in-memory-only behavior (unit
-  /// tests; Recover() then replays the in-memory log as a drill).
+  /// tail segments past it. Null keeps the store in memory only; Recover()
+  /// then fails with FailedPrecondition.
   std::shared_ptr<wal::Backend> wal_backend;
   /// WAL tuning (segment size, sync cadence); used only with wal_backend.
   wal::WalOptions wal;
@@ -191,9 +191,8 @@ class LocalStore {
   /// Crash-recovery entry point. With a WAL backend attached: discards ALL
   /// in-memory state and rebuilds from the newest checkpoint manifest plus a
   /// replay of only the segments past it (tail-only replay; cost is bounded
-  /// by checkpoint_every_records, not store size). Without a WAL: discards
-  /// the indexes and rebuilds them by replaying the in-memory log, verifying
-  /// the log-structured invariant (a failure drill for tests).
+  /// by checkpoint_every_records, not store size). Without a WAL there is
+  /// nothing durable to recover from: FailedPrecondition.
   Status Recover();
 
   /// Publishes a WAL checkpoint now (no-op without a WAL backend): dense
@@ -295,8 +294,6 @@ class LocalStore {
   /// compaction/checkpoint triggers, or cumulative stats counting.
   void ReplayPut(std::string_view key, std::string_view value);
   void ReplayDelete(std::string_view key);
-  /// In-memory-only rebuild (the seed behavior; used when wal_ is null).
-  Status RecoverFromMemoryLog();
 
   StoreOptions options_;
   Arena arena_;

@@ -165,11 +165,6 @@ void Publisher::CreateRelation(const RelationDef& def,
   service_->CallAll(everyone, kCatalogAdd, w.data(), std::move(after_catalog));
 }
 
-void Publisher::PublishBatch(UpdateBatch batch,
-                             std::function<void(Status, Epoch)> cb) {
-  PublishChained(std::move(batch), nullptr, std::move(cb));
-}
-
 Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
                                             std::function<void(Status, Epoch)> cb) {
   auto st = std::make_shared<PubState>();
@@ -204,13 +199,6 @@ Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
     return st;
   }
   if (prev) pipeline_stats_.chain_fallbacks += 1;
-
-  if (!epoch_discovery_) {
-    st->base_epoch = gossip_->epoch();
-    st->new_epoch = st->base_epoch + 1;
-    BeginPublish(st);
-    return st;
-  }
   DiscoverEpoch(st, /*rounds_left=*/2);
   return st;
 }

@@ -27,14 +27,12 @@ Status KeyFilter::DecodeFrom(Reader* r, KeyFilter* out) {
 
 StorageService::StorageService(net::NodeHost* host,
                                std::shared_ptr<SnapshotBoard> board, int replication,
-                               localstore::StoreOptions store_options,
-                               GcOptions gc_options)
+                               localstore::StoreOptions store_options)
     : host_(host),
       board_(std::move(board)),
       replication_(replication),
       rpc_(host, net::ServiceId::kStorage, kReply),
-      store_(store_options),
-      gc_options_(gc_options) {
+      store_(store_options) {
   host_->Register(net::ServiceId::kStorage, this);
   // Every reply this node receives carries the responder's load hint; keep a
   // timestamped per-peer view for the session's admission control.
@@ -226,6 +224,26 @@ void StorageService::Respond(net::NodeId to, uint64_t req_id, Status st,
                             st, std::move(body), LocalLoadHint());
 }
 
+void StorageService::RespondStored(net::NodeId to, uint64_t req_id,
+                                   std::string_view key) {
+  auto bytes = store_.Get(key);
+  if (!bytes.ok()) {
+    Respond(to, req_id, bytes.status(), {});
+  } else {
+    Respond(to, req_id, Status::OK(), std::move(bytes).value());
+  }
+}
+
+Status StorageService::LoadClaim(Epoch e, EpochClaimRecord* out) const {
+  auto bytes = store_.Get(keys::EpochClaim(e));
+  if (!bytes.ok()) return bytes.status();
+  Reader r(bytes.value());
+  if (!EpochClaimRecord::DecodeFrom(&r, out).ok()) {
+    return Status::Corruption("malformed epoch claim record");
+  }
+  return Status::OK();
+}
+
 void StorageService::OnConnectionDrop(net::NodeId peer) {
   // Orphan reaping: every call addressed to the failed peer resolves now
   // with Unavailable instead of waiting out its deadline.
@@ -284,11 +302,8 @@ void StorageService::OnMessage(net::NodeId from, uint16_t code,
         !r.GetVarint64(&nonce).ok()) {
       return;
     }
-    auto cur = store_.Get(keys::EpochClaim(epoch));
-    if (!cur.ok()) return;
-    Reader cr(cur.value());
     EpochClaimRecord stored;
-    if (EpochClaimRecord::DecodeFrom(&cr, &stored).ok() &&
+    if (LoadClaim(epoch, &stored).ok() &&
         stored.participant == participant && stored.nonce == nonce &&
         !stored.committed && !stored.fenced) {
       // A fenced marker is NOT the releaser's to clear either: the burn must
@@ -323,15 +338,24 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // field is consumed as a view of the payload, and the
       // publisher-computed placement hash is spliced straight into the data
       // key — no SHA-1, no TupleId/tuple-bytes copies.
+      auto bad_frame = [&] {
+        Respond(from, req_id, Status::Corruption("bad tuple frame"), {});
+      };
       uint64_t nrels;
-      if (!r->GetVarint64(&nrels).ok()) return;
+      if (!r->GetVarint64(&nrels).ok()) {
+        bad_frame();
+        return;
+      }
       counters_.puttuples_frames += 1;
       uint64_t total = 0;
       uint64_t fenced_refused = 0;
       for (uint64_t ri = 0; ri < nrels; ++ri) {
         std::string_view rel;
         uint64_t n;
-        if (!r->GetStringView(&rel).ok() || !r->GetVarint64(&n).ok()) return;
+        if (!r->GetStringView(&rel).ok() || !r->GetVarint64(&n).ok()) {
+          bad_frame();
+          return;
+        }
         if (FindRelation(rel) == nullptr) {
           Respond(from, req_id,
                   Status::NotFound("no relation " + std::string(rel)), {});
@@ -344,6 +368,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
               !r->GetStringView(&key_bytes).ok() ||
               !r->GetVarint64(&epoch).ok() ||
               !r->GetStringView(&tuple_bytes).ok()) {
+            bad_frame();
             return;
           }
           // Zombie write refusal: a fenced epoch can never be resurrected.
@@ -457,21 +482,14 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // as a RETRYABLE error, not kFenced: the publisher keeps its epoch
       // pinned and resolves the partial burn on retry (self-fence to
       // unanimity, or recommit once a committed record heals this replica).
-      {
-        auto curc = store_.Get(keys::EpochClaim(epoch));
-        if (curc.ok()) {
-          Reader cr(curc.value());
-          EpochClaimRecord stored;
-          if (EpochClaimRecord::DecodeFrom(&cr, &stored).ok() &&
-              stored.fenced) {
-            counters_.fenced_writes_refused += 1;
-            Respond(from, req_id,
-                    Status::Unavailable("confirm at burn-promised epoch " +
-                                        std::to_string(epoch)),
-                    {});
-            return;
-          }
-        }
+      if (EpochClaimRecord stored;
+          LoadClaim(epoch, &stored).ok() && stored.fenced) {
+        counters_.fenced_writes_refused += 1;
+        Respond(from, req_id,
+                Status::Unavailable("confirm at burn-promised epoch " +
+                                    std::to_string(epoch)),
+                {});
+        return;
       }
       EpochClaimRecord rec{participant, claimant_node, /*committed=*/true,
                            nonce};
@@ -485,13 +503,11 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     }
     case kGetEpochClaim: {
       uint64_t epoch;
-      if (!r->GetVarint64(&epoch).ok()) return;
-      auto bytes = store_.Get(keys::EpochClaim(epoch));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
+      if (!r->GetVarint64(&epoch).ok()) {
+        Respond(from, req_id, Status::Corruption("bad claim read"), {});
+        return;
       }
+      RespondStored(from, req_id, keys::EpochClaim(epoch));
       return;
     }
     case kGetMaxEpoch: {
@@ -503,37 +519,32 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     case kGetCoordinator: {
       std::string rel;
       uint64_t epoch;
-      if (!r->GetString(&rel).ok() || !r->GetVarint64(&epoch).ok()) return;
-      auto bytes = store_.Get(keys::Coord(rel, epoch));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
+      if (!r->GetString(&rel).ok() || !r->GetVarint64(&epoch).ok()) {
+        Respond(from, req_id, Status::Corruption("bad coordinator read"), {});
+        return;
       }
+      RespondStored(from, req_id, keys::Coord(rel, epoch));
       return;
     }
     case kGetPage: {
       PageId id;
-      if (!PageId::DecodeFrom(r, &id).ok()) return;
-      counters_.page_fetches += 1;
-      auto bytes = store_.Get(keys::PageRec(id.relation, id.epoch, id.partition));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
+      if (!PageId::DecodeFrom(r, &id).ok()) {
+        Respond(from, req_id, Status::Corruption("bad page read"), {});
+        return;
       }
+      counters_.page_fetches += 1;
+      RespondStored(from, req_id,
+                    keys::PageRec(id.relation, id.epoch, id.partition));
       return;
     }
     case kGetInverse: {
       std::string rel;
       uint32_t partition;
-      if (!r->GetString(&rel).ok() || !r->GetVarint32(&partition).ok()) return;
-      auto bytes = store_.Get(keys::Inverse(rel, partition));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
+      if (!r->GetString(&rel).ok() || !r->GetVarint32(&partition).ok()) {
+        Respond(from, req_id, Status::Corruption("bad inverse read"), {});
+        return;
       }
+      RespondStored(from, req_id, keys::Inverse(rel, partition));
       return;
     }
     case kGetTuple: {
@@ -541,7 +552,10 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // directly instead of decode + re-encode.
       std::string_view rel;
       TupleId id;
-      if (!r->GetStringView(&rel).ok() || !TupleId::DecodeFrom(r, &id).ok()) return;
+      if (!r->GetStringView(&rel).ok() || !TupleId::DecodeFrom(r, &id).ok()) {
+        Respond(from, req_id, Status::Corruption("bad tuple read"), {});
+        return;
+      }
       auto bytes = ReadTupleBytesLocal(rel, id);
       ChargeCpu(costs.tuple_scan_us);
       // Empty stored bytes are a delete tombstone, never a servable tuple.
@@ -558,14 +572,23 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // Leads with the pusher's participant-watermark table so a restarted
       // node re-learns every participant's mark (not just a scalar) from
       // re-replication; the effective watermark is recomputed as the min.
+      auto bad_push = [&] {
+        Respond(from, req_id, Status::Corruption("bad replica push"), {});
+      };
       uint64_t mark_count, n;
-      if (!r->GetVarint64(&mark_count).ok()) return;
+      if (!r->GetVarint64(&mark_count).ok()) {
+        bad_push();
+        return;
+      }
       std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
       pushed_marks.reserve(mark_count);
       for (uint64_t i = 0; i < mark_count; ++i) {
         uint32_t p;
         uint64_t m;
-        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) return;
+        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) {
+          bad_push();
+          return;
+        }
         pushed_marks.emplace_back(p, m);
       }
       // Piggybacked fenced-epoch table: merged BEFORE the records below so a
@@ -573,20 +596,30 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // burned (and so a restarted receiver whose fenced claim records were
       // GC'd below the watermark still re-learns the burns).
       uint64_t fence_count;
-      if (!r->GetVarint64(&fence_count).ok()) return;
+      if (!r->GetVarint64(&fence_count).ok()) {
+        bad_push();
+        return;
+      }
       for (uint64_t i = 0; i < fence_count; ++i) {
         uint64_t fe, fnonce;
         uint32_t fp;
         if (!r->GetVarint64(&fe).ok() || !r->GetVarint32(&fp).ok() ||
             !r->GetVarint64(&fnonce).ok()) {
+          bad_push();
           return;
         }
         MergeFencedEpoch(fe, fp, fnonce);
       }
-      if (!r->GetVarint64(&n).ok()) return;
+      if (!r->GetVarint64(&n).ok()) {
+        bad_push();
+        return;
+      }
       for (uint64_t i = 0; i < n; ++i) {
         std::string_view key, value;
-        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) return;
+        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
+          bad_push();
+          return;
+        }
         if (keys::Tag(key) == keys::kClaimTag) {
           // Epoch claims merge by strength: committed > purged burn > burn
           // promise > uncommitted claim > absent. A CONFIRMED claim replaces
@@ -598,42 +631,35 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           // plain claim fills an empty slot with a conservatively-fresh
           // clock (a pushed claim's owner gets a TTL of grace before a fence
           // can use this replica's vote).
+          // A claim-tagged key that does not parse, or a malformed pushed
+          // record, carries nothing to merge.
           Reader vr(value);
           EpochClaimRecord pushed;
-          if (EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-            EpochClaimRecord mine;
-            bool have_mine = false;
-            auto curv = store_.Get(key);
-            if (curv.ok()) {
-              Reader cr(curv.value());
-              have_mine = EpochClaimRecord::DecodeFrom(&cr, &mine).ok();
+          Epoch ce = 0;
+          if (!keys::ParseClaim(key, &ce) ||
+              !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
+            continue;
+          }
+          EpochClaimRecord mine;
+          const Status mine_st = LoadClaim(ce, &mine);
+          const bool have_mine = mine_st.ok();
+          if (pushed.committed) {
+            if (!have_mine || !mine.committed) store_.Put(key, value).ok();
+            max_epoch_seen_ = std::max(max_epoch_seen_, ce);
+            claim_touch_.erase(ce);
+          } else if (pushed.fenced && pushed.purged) {
+            if (!have_mine || !mine.committed) {
+              MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
             }
-            Epoch ce = 0;
-            bool parsed = keys::ParseClaim(key, &ce);
-            if (pushed.committed) {
-              if (!have_mine || !mine.committed) store_.Put(key, value).ok();
-              if (parsed) {
-                max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-                claim_touch_.erase(ce);
-              }
-            } else if (pushed.fenced && pushed.purged) {
-              if (parsed && (!have_mine || !mine.committed)) {
-                MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
-              }
-            } else if (pushed.fenced) {
-              if (!have_mine || (!mine.committed && !mine.fenced)) {
-                store_.Put(key, value).ok();
-                if (parsed) claim_touch_.erase(ce);
-              }
-            } else if (!have_mine && !curv.ok()) {
-              if (!(parsed && fenced_epochs_.count(ce) > 0)) {
-                store_.Put(key, value).ok();
-                if (parsed) {
-                  claim_touch_[ce] =
-                      host_->network()->simulator()->now();
-                }
-              }
+          } else if (pushed.fenced) {
+            if (!have_mine || (!mine.committed && !mine.fenced)) {
+              store_.Put(key, value).ok();
+              claim_touch_.erase(ce);
             }
+          } else if (mine_st.IsNotFound() && fenced_epochs_.count(ce) == 0) {
+            // Absent, not malformed: a plain claim fills only an empty slot.
+            store_.Put(key, value).ok();
+            claim_touch_[ce] = host_->network()->simulator()->now();
           }
           continue;
         }
@@ -910,15 +936,9 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
             wb.Release());
     return;
   }
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (!cur.ok()) {
-    grant(false, nonce);
-    return;
-  }
-  Reader cr(cur.value());
   EpochClaimRecord stored;
-  if (!EpochClaimRecord::DecodeFrom(&cr, &stored).ok()) {
-    grant(false, nonce);  // malformed slot: treat as empty
+  if (!LoadClaim(epoch, &stored).ok()) {
+    grant(false, nonce);  // empty slot (a malformed one counts as empty)
     return;
   }
   if (stored.fenced) {
@@ -1011,12 +1031,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us);
   EpochClaimRecord stored;
-  bool have = false;
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (cur.ok()) {
-    Reader cr(cur.value());
-    have = EpochClaimRecord::DecodeFrom(&cr, &stored).ok();
-  }
+  const bool have = LoadClaim(epoch, &stored).ok();
   auto grant = [&](const EpochClaimRecord& inst) {
     counters_.fences_granted += 1;
     Writer wb;
@@ -1093,12 +1108,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
 void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
                                       uint64_t nonce) {
   EpochClaimRecord stored;
-  bool have = false;
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (cur.ok()) {
-    Reader cr(cur.value());
-    have = EpochClaimRecord::DecodeFrom(&cr, &stored).ok();
-  }
+  const bool have = LoadClaim(epoch, &stored).ok();
   // A commit is a fact a fence never overrides: if this replica learned the
   // epoch committed (the fence round and a confirm round can interleave at
   // DIFFERENT replicas; both then fail their callers), keep the commit.
@@ -1663,16 +1673,13 @@ void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
 void StorageService::SetGcWatermark(Epoch w) {
   if (w < gc_watermark_ || w == 0) return;  // monotonic; 0 disables
   gc_watermark_ = w;
-  // The direct entry point is synchronous: callers (tests, harness nudges)
-  // expect retirement to have happened on return. Any background sweep in
-  // flight is now redundant — cancel it rather than let its stale slices
-  // rescan what this full sweep just covered.
-  if (gc_sweep_.active) {
-    gc_sweep_.active = false;
-    gc_sweep_.rearm = false;
-    gc_sweep_.generation += 1;
-  }
-  RetireBelowWatermark();
+  // The direct entry point retires before it returns: callers (tests,
+  // harness nudges) expect it. Any background sweep in flight is now
+  // redundant; resetting the cursor cancels it (its queued slices see a
+  // stale generation), and one unbounded slice covers the whole store.
+  ResetGcSweep();
+  RunGcSlice(std::numeric_limits<uint64_t>::max());
+  gc_.runs += 1;
 }
 
 Epoch StorageService::EffectiveParticipantWatermark() const {
@@ -1715,131 +1722,21 @@ void StorageService::SetParticipantWatermark(ParticipantId p, Epoch mark) {
   ScheduleGcSweep();
 }
 
-void StorageService::RetireBelowWatermark() {
-  const Epoch w = gc_watermark_;
-  std::vector<std::string> doomed;
-  uint64_t scanned = 0;
-  uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
-
-  // Coordinator records: retrieval is supported at epochs [w, current], so
-  // any coordinator record below the watermark is unreachable.
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kCoordTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    keys::ParsedCoordKey ck;
-    if (!keys::ParseCoord(it.key(), &ck)) continue;
-    if (ck.epoch < w) {
-      doomed.emplace_back(it.key());
-      ++n_coords;
-    }
-  }
-
-  // Epoch claims below the watermark: their epoch committed (or was
-  // abandoned and superseded) long ago; no publisher can contend for it.
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kClaimTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    Epoch e;
-    if (!keys::ParseClaim(it.key(), &e)) continue;
-    if (e < w) {
-      doomed.emplace_back(it.key());
-      ++n_claims;
-      claim_touch_.erase(e);  // the freshness clock follows the claim
-    }
-  }
-
-  // Page and data records share the layout <group-prefix><epoch:8B BE> and
-  // sort by group then epoch, so one ordered pass sees each group's versions
-  // oldest-first. Within a group, every version at-or-below the watermark is
-  // superseded by the next one at-or-below it; the newest such version is
-  // what the kept coordinators still reference and survives. A data group's
-  // survivor that is a delete tombstone (empty value) is retired too — it
-  // exists only to kill older versions, which are gone once this pass runs.
-  //
-  // Correctness precondition: every version at-or-below the watermark was
-  // referenced by some committed coordinator when written. Torn publishes
-  // keep this locally checkable: coordinator records (the commit point) go
-  // out only after every tuple/page write succeeded, and a failed publish
-  // must be retried with the SAME batch (idempotent overwrite) before
-  // publishing different data — an abandoned batch's orphan versions would
-  // otherwise shadow the committed version the coordinators reference once
-  // the watermark passes them (see ROADMAP: orphan reconciliation).
-  auto sweep_versions = [&](char tag, uint64_t* retired,
-                            bool reap_trailing_tombstone, auto&& epoch_of) {
-    std::string group;          // current group prefix (key minus epoch)
-    std::string best_key;       // newest version <= w seen in this group
-    bool best_is_tombstone = false;
-    auto flush_group = [&] {
-      if (reap_trailing_tombstone && best_is_tombstone && !best_key.empty()) {
-        doomed.push_back(best_key);
-        ++n_tombs;
-      }
-      best_key.clear();
-      best_is_tombstone = false;
-    };
-    for (auto it = store_.SeekPrefix(std::string_view(&tag, 1)); it.Valid();
-         it.Next()) {
-      ++scanned;
-      std::string_view key = it.key();
-      Epoch epoch = 0;
-      if (!epoch_of(key, &epoch)) continue;  // malformed: leave it alone
-      std::string_view prefix = keys::VersionGroupPrefix(key);
-      if (prefix != group) {
-        flush_group();
-        group.assign(prefix);
-      }
-      if (epoch > w) continue;
-      // A version at a fenced epoch is NEVER a survivor: it is purged
-      // garbage a stale push resurrected, and letting it win the
-      // newest-at-or-below race would shadow the committed version the
-      // coordinators reference. Doom it without updating the carry.
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
-        doomed.emplace_back(key);
-        ++*retired;
-        continue;
-      }
-      if (!best_key.empty()) {
-        doomed.push_back(best_key);
-        if (best_is_tombstone) {
-          ++n_tombs;
-        } else {
-          ++*retired;
-        }
-      }
-      best_key.assign(key);
-      best_is_tombstone = reap_trailing_tombstone && it.value().empty();
-    }
-    flush_group();
-  };
-  sweep_versions(keys::kPageTag, &n_pages, /*reap_trailing_tombstone=*/false,
-                 [](std::string_view key, Epoch* e) {
-                   keys::ParsedPageKey pk;
-                   if (!keys::ParsePageRec(key, &pk)) return false;
-                   *e = pk.epoch;
-                   return true;
-                 });
-  sweep_versions(keys::kDataTag, &n_data, /*reap_trailing_tombstone=*/true,
-                 [](std::string_view key, Epoch* e) {
-                   keys::ParsedDataKey dk;
-                   if (!keys::ParseData(key, &dk)) return false;
-                   *e = dk.epoch;
-                   return true;
-                 });
-
-  for (const std::string& key : doomed) store_.Delete(key).ok();
-
-  ChargeCpu(host_->network()->costs().tuple_scan_us *
-            static_cast<double>(scanned + doomed.size()));
-  gc_.runs += 1;
-  gc_.retired_coords += n_coords;
-  gc_.retired_pages += n_pages;
-  gc_.retired_data += n_data;
-  gc_.retired_tombstones += n_tombs;
-  gc_.retired_claims += n_claims;
-}
-
 // --------------------------------------------------------------------------
 // Incremental background GC
+
+uint64_t StorageService::ResetGcSweep() {
+  gc_sweep_.active = false;
+  gc_sweep_.rearm = false;
+  gc_sweep_.generation += 1;
+  gc_sweep_.watermark = gc_watermark_;
+  gc_sweep_.phase = 0;
+  gc_sweep_.resume = keys::TagPrefix(keys::kCoordTag);
+  gc_sweep_.group.clear();
+  gc_sweep_.best_key.clear();
+  gc_sweep_.best_is_tombstone = false;
+  return gc_sweep_.generation;
+}
 
 void StorageService::ScheduleGcSweep() {
   if (gc_watermark_ == 0) return;
@@ -1852,23 +1749,16 @@ void StorageService::ScheduleGcSweep() {
     gc_.coalesced += 1;
     return;
   }
+  const uint64_t gen = ResetGcSweep();
   gc_sweep_.active = true;
-  gc_sweep_.rearm = false;
-  gc_sweep_.generation += 1;
-  gc_sweep_.watermark = gc_watermark_;
-  gc_sweep_.phase = 0;
-  gc_sweep_.resume = keys::TagPrefix(keys::kCoordTag);
-  gc_sweep_.group.clear();
-  gc_sweep_.best_key.clear();
-  gc_sweep_.best_is_tombstone = false;
-  const uint64_t gen = gc_sweep_.generation;
-  RunAfter(gc_options_.slice_interval_us, [this, gen] { GcSliceTask(gen); });
+  RunAfter(kGcSliceIntervalUs, [this, gen] { GcSliceTask(gen); });
 }
 
 void StorageService::GcSliceTask(uint64_t generation) {
   if (!gc_sweep_.active || generation != gc_sweep_.generation) return;
-  if (!RunGcSlice(gc_options_.slice_records)) {
-    RunAfter(gc_options_.slice_interval_us,
+  gc_.slices += 1;
+  if (!RunGcSlice(kGcSliceRecords)) {
+    RunAfter(kGcSliceIntervalUs,
              [this, generation] { GcSliceTask(generation); });
     return;
   }
@@ -1885,9 +1775,25 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   uint64_t scanned = 0;
   uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
 
+  // Page and data records share the layout <group-prefix><epoch:8B BE> and
+  // sort by group then epoch, so one ordered pass sees each group's versions
+  // oldest-first. Within a group, every version at-or-below the watermark is
+  // superseded by the next one at-or-below it; the newest such version is
+  // what the kept coordinators still reference and survives. A data group's
+  // survivor that is a delete tombstone (empty value) is retired too — it
+  // exists only to kill older versions, which are gone once the pass runs.
+  //
+  // Correctness precondition: every version at-or-below the watermark was
+  // referenced by some committed coordinator when written. Torn publishes
+  // keep this locally checkable: coordinator records (the commit point) go
+  // out only after every tuple/page write succeeded, and a failed publish
+  // must be retried with the SAME batch (idempotent overwrite) before
+  // publishing different data — an abandoned batch's orphan versions would
+  // otherwise shadow the committed version the coordinators reference once
+  // the watermark passes them.
+  //
   // Reaps the tracked survivor if it is a trailing tombstone, then clears
-  // the version-group carry — the sliced twin of the synchronous sweep's
-  // flush_group (see RetireBelowWatermark for the retention argument).
+  // the version-group carry, which otherwise spans slice boundaries.
   auto flush_group = [&] {
     if (gc_sweep_.best_is_tombstone && !gc_sweep_.best_key.empty()) {
       doomed.push_back(gc_sweep_.best_key);
@@ -1906,7 +1812,7 @@ bool StorageService::RunGcSlice(uint64_t budget) {
       if (scanned >= budget) {
         // Stop BEFORE consuming this record; the next slice re-seeks to it.
         // Records a push inserts behind the cursor are caught by the re-arm
-        // sweep, exactly like ones behind a completed synchronous sweep.
+        // sweep, exactly like ones behind a completed sweep.
         gc_sweep_.resume.assign(it.key());
         exhausted = false;
         break;
@@ -1915,6 +1821,8 @@ bool StorageService::RunGcSlice(uint64_t budget) {
       std::string_view key = it.key();
       switch (phase) {
         case 0: {
+          // Retrieval is supported at epochs [w, current], so any
+          // coordinator record below the watermark is unreachable.
           keys::ParsedCoordKey ck;
           if (keys::ParseCoord(key, &ck) && ck.epoch < w) {
             doomed.emplace_back(key);
@@ -1923,6 +1831,9 @@ bool StorageService::RunGcSlice(uint64_t budget) {
           break;
         }
         case 1: {
+          // Claims below the watermark: their epoch committed (or was
+          // abandoned and superseded) long ago; no publisher contends for
+          // it. The freshness clock follows the claim.
           Epoch e = 0;
           if (keys::ParseClaim(key, &e) && e < w) {
             doomed.emplace_back(key);
@@ -1950,8 +1861,10 @@ bool StorageService::RunGcSlice(uint64_t budget) {
             gc_sweep_.group.assign(group);
           }
           if (epoch > w) break;
-          // Fenced-epoch versions are never survivors (see the synchronous
-          // sweep's twin of this check for the shadowing argument).
+          // A version at a fenced epoch is NEVER a survivor: it is purged
+          // garbage a stale push resurrected, and letting it win the
+          // newest-at-or-below race would shadow the committed version the
+          // coordinators reference. Doom it without updating the carry.
           if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
             doomed.emplace_back(key);
             ++(phase == 2 ? n_pages : n_data);
@@ -1985,7 +1898,6 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   for (const std::string& key : doomed) store_.Delete(key).ok();
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
-  gc_.slices += 1;
   gc_.retired_coords += n_coords;
   gc_.retired_pages += n_pages;
   gc_.retired_data += n_data;
@@ -2032,9 +1944,7 @@ void StorageService::OnRestart() {
   participant_marks_.clear();
   // Any background sweep died with the node (its slice tasks were dropped as
   // node tasks); reset the cursor so the next advertisement starts fresh.
-  gc_sweep_.active = false;
-  gc_sweep_.rearm = false;
-  gc_sweep_.generation += 1;
+  ResetGcSweep();
 }
 
 }  // namespace orchestra::storage

@@ -142,21 +142,16 @@ struct KeyFilter {
   static Status DecodeFrom(Reader* r, KeyFilter* out);
 };
 
-/// Incremental background GC tuning. Watermark advertisements (the
-/// publisher's kSetWatermark one-ways, replica-push piggybacks) do not run a
-/// synchronous full-store sweep any more; they schedule a background sweep
-/// that retires records in bounded slices on the node's own timeline, so a
-/// burst of per-publish advertisements coalesces into one sweep instead of
-/// one full scan each. SetGcWatermark — the direct floor-raise entry point —
-/// stays synchronous for tests and harnesses.
-struct GcOptions {
-  /// Records examined (scanned plus deleted) per slice before yielding the
-  /// simulated CPU back to the request path.
-  uint64_t slice_records = 2048;
-  /// Delay before the first slice and between slices; the leading delay is
-  /// what coalesces an advertisement burst into a single sweep.
-  sim::SimTime slice_interval_us = 20 * sim::kMicrosPerMilli;
-};
+/// Incremental background GC pacing. Watermark advertisements (the
+/// publisher's kSetWatermark one-ways, replica-push piggybacks) schedule a
+/// background sweep that retires records in bounded slices on the node's own
+/// timeline, so a burst of per-publish advertisements coalesces into one
+/// sweep instead of one full scan each. Records examined (scanned plus
+/// deleted) per slice before yielding the simulated CPU to the request path:
+constexpr uint64_t kGcSliceRecords = 2048;
+/// Delay before the first slice and between slices; the leading delay is
+/// what coalesces an advertisement burst into a single sweep.
+constexpr sim::SimTime kGcSliceIntervalUs = 20 * sim::kMicrosPerMilli;
 
 class StorageService : public net::Service {
  public:
@@ -165,8 +160,7 @@ class StorageService : public net::Service {
       std::function<void(Status, std::vector<Tuple>)>;
 
   StorageService(net::NodeHost* host, std::shared_ptr<SnapshotBoard> board,
-                 int replication, localstore::StoreOptions store_options = {},
-                 GcOptions gc_options = {});
+                 int replication, localstore::StoreOptions store_options = {});
 
   net::NodeId node() const { return host_->node(); }
   int replication() const { return replication_; }
@@ -266,19 +260,22 @@ class StorageService : public net::Service {
   /// delete tombstones once nothing older survives). Supported retrieval
   /// epochs become [w, current]. Re-advertising the current watermark re-runs
   /// retirement, which clears records a stale replica push may have
-  /// resurrected. This is the direct floor-raise entry point (tests use it);
-  /// publisher advertisements instead go through SetParticipantWatermark so
-  /// one slow writer holds retirement back for everyone.
+  /// resurrected. This is the direct floor-raise entry point (tests and
+  /// harnesses use it): it cancels any background sweep in flight and runs
+  /// the sweep to completion as one unbounded slice, so retirement has
+  /// happened on return. Publisher advertisements instead go through
+  /// SetParticipantWatermark so one slow writer holds retirement back for
+  /// everyone.
   void SetGcWatermark(Epoch w);
   Epoch gc_watermark() const { return gc_watermark_; }
 
   /// Multi-writer GC: records participant `p`'s advertised low-watermark
   /// (monotonic per participant) and applies the EFFECTIVE watermark — the
   /// minimum across all participants heard from within kParticipantMarkTtlUs
-  /// — via SetGcWatermark. A participant that lags (or advertises 0 because
-  /// its committed epoch is still inside the keep window) pins the effective
-  /// mark down, so versions a slow peer still bases its publishes on are
-  /// never retired out from under it.
+  /// — by raising the floor and scheduling a background sweep. A participant
+  /// that lags (or advertises 0 because its committed epoch is still inside
+  /// the keep window) pins the effective mark down, so versions a slow peer
+  /// still bases its publishes on are never retired out from under it.
   void SetParticipantWatermark(ParticipantId p, Epoch mark);
   /// min across active participants (0 when none have advertised).
   Epoch EffectiveParticipantWatermark() const;
@@ -304,7 +301,7 @@ class StorageService : public net::Service {
   size_t fenced_epoch_count() const { return fenced_epochs_.size(); }
 
   struct GcStats {
-    uint64_t runs = 0;                // completed sweeps (sync or background)
+    uint64_t runs = 0;                // completed sweeps (direct or background)
     uint64_t slices = 0;              // background slices executed
     uint64_t coalesced = 0;           // advertisements folded into a sweep
                                       // already in flight (re-armed it)
@@ -387,14 +384,21 @@ class StorageService : public net::Service {
   };
 
   void Respond(net::NodeId to, uint64_t req_id, Status st, std::string body);
-  void RetireBelowWatermark();
+  /// Replies with the stored value under `key`, or with the lookup's error.
+  void RespondStored(net::NodeId to, uint64_t req_id, std::string_view key);
+  /// Reads and decodes this node's claim record for epoch `e`: NotFound when
+  /// the slot is absent, Corruption when it holds a malformed record.
+  Status LoadClaim(Epoch e, EpochClaimRecord* out) const;
+  /// Cancels any sweep in flight and resets the cursor to the start of a
+  /// new sweep at the current watermark; returns the new generation.
+  uint64_t ResetGcSweep();
   /// Background GC: starts a sliced sweep at the current watermark, or
   /// re-arms the one in flight (it finishes, then restarts at the latest
-  /// watermark — which also preserves the "re-advertising clears records a
-  /// stale replica push resurrected" property of the synchronous sweep).
+  /// watermark, so re-advertising still clears records a stale replica push
+  /// resurrected behind the cursor).
   void ScheduleGcSweep();
   /// One scheduled slice; `generation` guards against slices queued by a
-  /// sweep that was since cancelled (restart, synchronous override).
+  /// sweep that was since cancelled (restart, SetGcWatermark).
   void GcSliceTask(uint64_t generation);
   /// Retires up to `budget` records' worth of sweep work; true when the
   /// sweep has covered all four key families.
@@ -446,7 +450,6 @@ class StorageService : public net::Service {
   Epoch max_epoch_seen_ = 0;
   Epoch gc_watermark_ = 0;
   GcStats gc_;
-  GcOptions gc_options_;
   // Background sweep cursor. The watermark is pinned per sweep (retiring
   // below an older mark is always safe); phases cover the four swept key
   // families in tag order: 0 coordinators, 1 claims, 2 pages, 3 data.

@@ -133,11 +133,11 @@ struct ChurnOptions {
   // Also retrieve at one retained historical epoch per check.
   bool verify_history = true;
 
-  // Durability (deployment runs with durable_wal; each node's WAL lives on a
-  // deterministic in-memory backend). `wal_sync_every` / `checkpoint_every`
-  // feed straight into the per-node StoreOptions: sync_every 1 makes every
-  // record durable before it is acked (a crash tears nothing), 0 leaves the
-  // whole tail unsynced so KillNode genuinely loses suffixes.
+  // Durability (every deployment node's WAL lives on its own deterministic
+  // in-memory backend). `wal_sync_every` / `checkpoint_every` feed straight
+  // into the per-node StoreOptions: sync_every 1 makes every record durable
+  // before it is acked (a crash tears nothing), 0 leaves the whole tail
+  // unsynced so KillNode genuinely loses suffixes.
   uint64_t wal_sync_every = 1;
   uint64_t wal_checkpoint_every = 2048;
   // Crash-point fault injection: when a kill is scheduled, also arm (with

@@ -14,6 +14,8 @@
 // and therefore skipped when sharded.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 
 #include "tests/churn_harness.h"
@@ -73,6 +75,14 @@ uint64_t OnlySeed() {
   return 0;
 }
 
+// One stdout line per sweep seed with the run's trace digest. `ci/check.sh
+// digests` collects these lines, so a change meant to preserve behaviour can
+// show every seed's trace is byte-identical before and after.
+void PrintDigest(const char* test, uint64_t seed, const ChurnReport& rep) {
+  std::printf("churn-digest %s seed=%" PRIu64 " dig=%016" PRIx64 "\n", test,
+              seed, rep.trace_digest);
+}
+
 // ---------------------------------------------------------------------------
 // Seed sweep: >= 20 distinct seeds, each with crashes, restarts, hangs,
 // drops, and delays injected — and session pipelining enabled (window 2), so
@@ -95,6 +105,7 @@ TEST(Churn, SeedSweep) {
     opts.publish_window = 2;  // pipelined publishing under churn
     opts.hang_prob = 0.04;    // hung machines join the fault mix
     ChurnReport rep = RunChurn(opts);
+    PrintDigest("Churn.SeedSweep", seed, rep);
     EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
                         << ReplayCommand(rep, "Churn.SeedSweep")
                         << "\ntrace tail:\n" << TraceTail(rep, kFailTraceLines);
@@ -169,6 +180,7 @@ TEST(Churn, MultiWriterSweep) {
     opts.hang_prob = 0.03;
     opts.partition_prob = 0.15;        // asymmetric one-way partitions
     ChurnReport rep = RunChurn(opts);
+    PrintDigest("Churn.MultiWriterSweep", seed, rep);
     EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
                         << ReplayCommand(rep, "Churn.MultiWriterSweep")
                         << "\ntrace tail:\n" << TraceTail(rep, kFailTraceLines)
@@ -260,6 +272,7 @@ TEST(Churn, FencingAbandonmentSweep) {
     opts.crash_mid_seal_prob = 0.3;
     opts.publish_attempts = 16;
     ChurnReport rep = RunChurn(opts);
+    PrintDigest("Churn.FencingAbandonmentSweep", seed, rep);
     EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
                         << ReplayCommand(rep, "Churn.FencingAbandonmentSweep")
                         << "\ntrace tail:\n" << TraceTail(rep, kFailTraceLines)

@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "localstore/local_store.h"
 #include "tests/test_util.h"
+#include "wal/backend.h"
 
 namespace orchestra::localstore {
 namespace {
+
+// Recover() rebuilds a store from its WAL; stores that exercise it keep
+// theirs on a fresh in-memory backend.
+StoreOptions WithMemoryWal(StoreOptions opts = {}) {
+  opts.wal_backend = std::make_shared<wal::MemoryBackend>();
+  return opts;
+}
 
 TEST(LocalStore, PutGetOverwrite) {
   LocalStore store;
@@ -20,6 +29,13 @@ TEST(LocalStore, PutGetOverwrite) {
   ASSERT_TRUE(store.Put("k1", "v2").ok());
   EXPECT_EQ(*store.Get("k1"), "v2");
   EXPECT_EQ(store.entry_count(), 1u);
+}
+
+TEST(LocalStore, RecoverWithoutWalIsFailedPrecondition) {
+  LocalStore store;
+  store.Put("k", "v").ok();
+  EXPECT_EQ(store.Recover().code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(*store.Get("k"), "v");  // the in-memory store is left intact
 }
 
 TEST(LocalStore, GetMissingIsNotFound) {
@@ -84,7 +100,7 @@ TEST(LocalStore, BinaryKeysAndValues) {
 }
 
 TEST(LocalStore, RecoverRebuildsIdenticalIndex) {
-  LocalStore store;
+  LocalStore store(WithMemoryWal());
   Rng rng(5);
   std::map<std::string, std::string> model;
   for (int i = 0; i < 2000; ++i) {
@@ -111,7 +127,7 @@ TEST(LocalStore, CompactionPreservesContentAndReclaimsLog) {
   StoreOptions opts;
   opts.compaction_min_records = 100;
   opts.compaction_garbage_ratio = 0.5;
-  LocalStore store(opts);
+  LocalStore store(WithMemoryWal(opts));
   // Overwrite the same small key set many times -> lots of garbage.
   for (int round = 0; round < 50; ++round) {
     for (int k = 0; k < 20; ++k) {
@@ -207,7 +223,7 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
   StoreOptions opts;
   opts.compaction_garbage_ratio = 0.25;
   opts.compaction_min_records = 128;
-  LocalStore store(opts);
+  LocalStore store(WithMemoryWal(opts));
   std::map<std::string, std::string> model;
   Rng rng(GetParam() * 7919 + 13);
   const std::vector<std::string> prefixes = {"D/r1/", "D/r2/", "P/", "C/", ""};
@@ -322,7 +338,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LocalStoreFuzz, ::testing::Values(1, 2, 3, 4, 5)
 // One prefixed key family interleaved with neighbors; mutate, then verify
 // prefix scans across a Compact and a Recover cycle.
 TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
-  LocalStore store;
+  LocalStore store(WithMemoryWal());
   auto key = [](const std::string& pfx, int i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%03d", i);
@@ -385,7 +401,7 @@ TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
 TEST(LocalStoreFuzz, PrefixScansMatchModelAcrossRebuilds) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
-    LocalStore store;
+    LocalStore store(WithMemoryWal());
     std::map<std::string, std::string> model;
     const std::string prefixes[] = {"p/", "q/", "p0", ""};
     for (int step = 0; step < 2000; ++step) {

@@ -739,6 +739,86 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   EXPECT_EQ(at->size(), 2u);
 }
 
+// The background sweep retires in kGcSliceRecords-record slices whose cursor
+// and version-group carry cross slice boundaries; SetGcWatermark runs the same
+// sweep as one unbounded slice. On stores several slices large, with version
+// groups straddling the boundaries, both must retire exactly the same records.
+TEST(StorageGc, SlicedSweepMatchesDirectSweep) {
+  constexpr int kKeys = 1000;
+  constexpr int kEpochs = 5;  // versions per data group
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 3;
+  opts.replication = 3;  // every node holds every record
+  auto build = [&opts] {
+    auto dep = std::make_unique<deploy::Deployment>(opts);
+    EXPECT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 64)).ok());
+    for (int e = 1; e <= kEpochs; ++e) {
+      UpdateBatch u;
+      for (int k = 0; k < kKeys; ++k) {
+        Tuple t = Row(Numbered("k", k), Numbered("v", e));
+        // The last epoch deletes every tenth key: trailing tombstones.
+        u["R"].push_back(e == kEpochs && k % 10 == 0
+                             ? Update::Delete(std::move(t))
+                             : Update::Insert(std::move(t)));
+      }
+      EXPECT_TRUE(dep->Publish(0, std::move(u)).ok());
+    }
+    return dep;
+  };
+  auto sliced = build();
+  auto direct = build();
+  const Epoch w = kEpochs;
+
+  // Every node holds more than two slices of page and data records, and at
+  // least one slice boundary falls inside a data version group.
+  size_t straddles = 0;
+  for (size_t i = 0; i < sliced->size(); ++i) {
+    StorageService& svc = sliced->storage(i);
+    const size_t before = CountPrefix(svc, "C") + CountPrefix(svc, "E") +
+                          CountPrefix(svc, "P");
+    const size_t data = CountPrefix(svc, "D");
+    ASSERT_EQ(data, static_cast<size_t>(kKeys * kEpochs)) << "node " << i;
+    ASSERT_GT(CountPrefix(svc, "P") + data, 2 * kGcSliceRecords);
+    for (size_t b = kGcSliceRecords; b < before + data; b += kGcSliceRecords) {
+      if (b > before && (b - before) % kEpochs != 0) ++straddles;
+    }
+  }
+  ASSERT_GT(straddles, 0u);
+
+  for (size_t i = 0; i < sliced->size(); ++i) {
+    sliced->storage(i).SetParticipantWatermark(/*p=*/1, w);
+    direct->storage(i).SetGcWatermark(w);
+  }
+  ASSERT_TRUE(sliced->RunUntil([&] {
+    for (size_t i = 0; i < sliced->size(); ++i) {
+      if (sliced->storage(i).gc_sweep_active()) return false;
+    }
+    return true;
+  }));
+
+  auto live_keys = [](StorageService& svc) {
+    std::vector<std::string> out;
+    for (auto it = svc.store().Seek(""); it.Valid(); it.Next()) {
+      out.emplace_back(it.key());
+    }
+    return out;
+  };
+  for (size_t i = 0; i < sliced->size(); ++i) {
+    const auto& a = sliced->storage(i).gc_stats();
+    const auto& b = direct->storage(i).gc_stats();
+    EXPECT_GE(a.slices, 3u) << "node " << i;
+    EXPECT_GT(b.retired_data, 0u) << "node " << i;
+    EXPECT_GT(b.retired_tombstones, 0u) << "node " << i;
+    EXPECT_EQ(a.retired_data, b.retired_data) << "node " << i;
+    EXPECT_EQ(a.retired_pages, b.retired_pages) << "node " << i;
+    EXPECT_EQ(a.retired_coords, b.retired_coords) << "node " << i;
+    EXPECT_EQ(a.retired_tombstones, b.retired_tombstones) << "node " << i;
+    EXPECT_EQ(a.retired_claims, b.retired_claims) << "node " << i;
+    EXPECT_EQ(live_keys(sliced->storage(i)), live_keys(direct->storage(i)))
+        << "node " << i;
+  }
+}
+
 // Epoch discovery: publishing via a node whose gossip counter is stale must
 // not fork the epoch line — the publisher asks the cluster first (ROADMAP:
 // multi-node publishing without gossip convergence).
@@ -878,6 +958,22 @@ TEST_F(StorageClusterTest, EpochClaimProtocol) {
 // Coordinator records alone must NOT advance the discovery frontier: a torn
 // publish leaves partial records, and a publisher basing on them would
 // absorb uncommitted state. Only the confirm protocol moves the frontier.
+// A truncated read request gets a Corruption reply at once; a handler that
+// dropped it would leave the caller waiting out the whole RPC deadline.
+TEST_F(StorageClusterTest, MalformedPageReadRepliesCorruption) {
+  Status out;
+  bool done = false;
+  dep->storage(0).Call(1, kGetPage, "" /*truncated*/,
+                       [&](Status s, const std::string&) {
+                         out = s;
+                         done = true;
+                       });
+  // One LAN round trip is far below a simulated second; the default RPC
+  // deadline is a minute.
+  ASSERT_TRUE(dep->RunUntil([&done] { return done; }, sim::kMicrosPerSec));
+  EXPECT_TRUE(out.IsCorruption()) << out.ToString();
+}
+
 TEST_F(StorageClusterTest, DiscoveryIgnoresUnconfirmedCoordinatorRecords) {
   CoordinatorRecord rec;
   rec.relation = "R";
