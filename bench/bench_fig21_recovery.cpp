@@ -11,7 +11,14 @@
 // flat while the store grows 100x — and benchdiff enforces that bound on
 // the deterministic replayed_records counter (docs/DURABILITY.md).
 //
-// ORCHESTRA_BENCH_SMOKE=1 shrinks both parts for the CI benchdiff stage;
+// Part three measures what a node restart ships across the cluster: the
+// digest-driven catch-up (StorageService::RebalanceTo) after a restart that
+// missed nothing, and after one that missed a few publishes. Each entry
+// records the records pushed (digest-driven and stale), the bytes on the
+// wire and the simulated time until every catch-up RPC settled; benchdiff
+// bounds the pushes on these deterministic counters.
+//
+// ORCHESTRA_BENCH_SMOKE=1 shrinks every part for the CI benchdiff stage;
 // the committed baseline in bench/results/ is generated in smoke mode.
 #include <unistd.h>
 
@@ -193,6 +200,102 @@ void StoreRecoveryPart(JsonReport& report) {
   rmdir(tmpl);
 }
 
+// --------------------------------------------------------------------------
+// Part three: restart catch-up traffic.
+
+/// Restarts `victim` on `cluster` and reports the catch-up it caused:
+/// records pushed for differing buckets and stale records re-served (summed
+/// over every node), the returnee's store growth (the records it actually
+/// missed), wire bytes, and sim time until no catch-up RPC is pending.
+void MeasureCatchup(JsonReport& report, const std::string& name,
+                    bench::Cluster& cluster, net::NodeId victim) {
+  deploy::Deployment& dep = *cluster.dep;
+  auto totals = [&dep] {
+    storage::StorageService::Counters t;
+    for (size_t i = 0; i < dep.size(); ++i) {
+      const auto& c = dep.storage(i).counters();
+      t.catchup_records_pushed += c.catchup_records_pushed;
+      t.catchup_stale_records += c.catchup_stale_records;
+      t.catchup_buckets_compared += c.catchup_buckets_compared;
+      t.catchup_buckets_mismatched += c.catchup_buckets_mismatched;
+    }
+    return t;
+  };
+  const storage::StorageService::Counters before = totals();
+  const uint64_t wire0 = dep.network().total_bytes();
+  const sim::SimTime t0 = dep.sim().now();
+  dep.RestartNode(victim);
+  const size_t recovered = dep.storage(victim).store().entry_count();
+  if (!dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; })) {
+    std::fprintf(stderr, "%s: catch-up RPCs never settled\n", name.c_str());
+    std::exit(1);
+  }
+  const double settle_s = static_cast<double>(dep.sim().now() - t0) / 1e6;
+  const double wire = static_cast<double>(dep.network().total_bytes() - wire0);
+  const storage::StorageService::Counters after = totals();
+  const double pushed =
+      static_cast<double>(after.catchup_records_pushed - before.catchup_records_pushed);
+  const double stale =
+      static_cast<double>(after.catchup_stale_records - before.catchup_stale_records);
+  const double missed =
+      static_cast<double>(dep.storage(victim).store().entry_count() - recovered);
+  const double mismatched = static_cast<double>(after.catchup_buckets_mismatched -
+                                                before.catchup_buckets_mismatched);
+  const double compared = static_cast<double>(after.catchup_buckets_compared -
+                                              before.catchup_buckets_compared);
+  std::printf("%s,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.6f\n", name.c_str(), pushed, stale,
+              missed, compared, mismatched, wire, settle_s);
+  report.AddTimed(name, pushed + stale, 0, settle_s, wire,
+                  {{"records_pushed", pushed},
+                   {"stale_records", stale},
+                   {"records_missed", missed},
+                   {"buckets_compared", compared},
+                   {"buckets_mismatched", mismatched}});
+}
+
+void CatchupPart(JsonReport& report) {
+  std::printf("# node restart catch-up: digest rounds push only what differs\n");
+  std::printf("config,records_pushed,stale_records,records_missed,buckets_compared,"
+              "buckets_mismatched,wire_bytes,settle_sim_s\n");
+  workload::TpchConfig cfg;
+  cfg.scale_factor = TpchSf(Smoke() ? 0.5 : 2.0);
+  cfg.num_partitions = 32;
+  const auto data = workload::TpchGenerate(cfg);
+  const net::NodeId victim = 5;
+  {
+    // Nothing happens while the node is down: every bucket compares equal.
+    auto cluster = MakeCluster(data, 8);
+    cluster.dep->KillNode(victim, /*update_routing=*/false);
+    cluster.dep->RunFor(1 * sim::kMicrosPerSec);
+    MeasureCatchup(report, "restart_catchup_idle", cluster, victim);
+  }
+  {
+    // The table drops the node and a few batches commit without it: each
+    // re-publishes 16 orders rows as new versions.
+    auto cluster = MakeCluster(data, 8);
+    cluster.dep->KillNode(victim);
+    const workload::GeneratedRelation* orders = nullptr;
+    for (const auto& rel : cluster.rels) {
+      if (rel.def.name == "orders") orders = &rel;
+    }
+    if (orders == nullptr || orders->rows.size() < 64) {
+      std::fprintf(stderr, "no orders rows to re-publish\n");
+      std::exit(1);
+    }
+    for (size_t b = 0; b < 4; ++b) {
+      storage::UpdateBatch batch;
+      for (size_t i = 0; i < 16; ++i) {
+        batch["orders"].push_back(storage::Update::Insert(orders->rows[16 * b + i]));
+      }
+      if (!cluster.dep->Publish(0, std::move(batch)).ok()) {
+        std::fprintf(stderr, "publish while the node is down failed\n");
+        std::exit(1);
+      }
+    }
+    MeasureCatchup(report, "restart_catchup_missed", cluster, victim);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -201,5 +304,7 @@ int main() {
   QueryRecoveryPart(report);
   Header("Node restart recovery: checkpoint + WAL tail replay");
   StoreRecoveryPart(report);
+  Header("Node restart catch-up traffic");
+  CatchupPart(report);
   return 0;
 }

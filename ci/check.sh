@@ -265,6 +265,23 @@ for ref_path in sorted(glob.glob("bench/results/BENCH_*.json")):
                     "fig21_recovery: 100x checkpointed replay "
                     f"{on100['replayed_records']:.0f} not sub-linear vs full "
                     f"replay {off100['replayed_records']:.0f}")
+            # Restart catch-up (deterministic sim counters): a restart that
+            # missed nothing pushes no record; one that missed a few
+            # publishes pushes at most a fixed multiple of what it missed
+            # (a whole-replica push is three orders of magnitude more).
+            idle = f["restart_catchup_idle"]
+            idle_pushed = idle["records_pushed"] + idle["stale_records"]
+            if idle_pushed != 0:
+                failures.append(
+                    f"fig21_recovery: idle restart pushed {idle_pushed:.0f} records")
+            missed = f["restart_catchup_missed"]
+            missed_pushed = missed["records_pushed"] + missed["stale_records"]
+            if missed["records_missed"] <= 0:
+                failures.append("fig21_recovery: restart_catchup_missed missed nothing")
+            elif missed_pushed > 100 * missed["records_missed"]:
+                failures.append(
+                    f"fig21_recovery: restart catch-up pushed {missed_pushed:.0f} "
+                    f"records > 100x the {missed['records_missed']:.0f} missed")
         except KeyError as e:
             failures.append(f"fig21_recovery: missing entry {e}")
 if compared == 0:

@@ -98,8 +98,20 @@ void Deployment::RestartNode(net::NodeId node) {
     }
   }
 
-  // Both directions of catch-up: survivors push what the returnee missed,
-  // the returnee re-serves what the new table assigns elsewhere.
+  // The returnee keeps its node id, so query ids it issues again carry it:
+  // every live peer forgets the connection drop it saw, and the returnee
+  // forgets the drops of peers that are alive now.
+  for (size_t i = 0; i < query_.size(); ++i) {
+    auto peer = static_cast<net::NodeId>(i);
+    if (peer == node || !network_.IsAlive(peer)) continue;
+    query_[i]->OnPeerRejoined(node);
+    query_[node]->OnPeerRejoined(peer);
+  }
+
+  // Both directions of catch-up, by digest: every live node compares what it
+  // shares with each co-replica bucket by bucket, so survivors push only the
+  // buckets the returnee missed, and the returnee re-serves what the new
+  // table assigns elsewhere.
   for (auto& svc : storage_) {
     if (network_.IsAlive(svc->node())) svc->RebalanceTo(board_->current);
   }
@@ -143,8 +155,9 @@ net::NodeId Deployment::AddNode() {
       options_.session));
 
   overlay::RoutingSnapshot next = ring_.TakeSnapshot();
-  // Background replication (PAST-style): existing nodes push state the new
-  // table says the newcomer (or anyone else) should replicate.
+  // Background replication (PAST-style): every node, the newcomer too,
+  // digests what it shares under the new table; the newcomer's empty table
+  // differs in every bucket, so existing nodes push it all it should hold.
   for (auto& svc : storage_) {
     if (network_.IsAlive(svc->node())) svc->RebalanceTo(next);
   }

@@ -93,21 +93,27 @@ class Deployment {
 
   /// Kills the node (fail-stop) and, if `update_routing`, rebuilds the
   /// current routing table without it (queries keep their own snapshots).
-  /// With `rebalance`, surviving nodes re-replicate to the new table — under
-  /// the balanced scheme a membership change shifts every range, so without
-  /// it records whose whole replica set moved become unreachable.
+  /// With `rebalance`, surviving nodes re-replicate to the new table
+  /// (StorageService::RebalanceTo: stale records pushed, shared ones
+  /// compared by bucket digest) — under the balanced scheme a membership
+  /// change shifts every range, so without it records whose whole replica
+  /// set moved become unreachable.
   void KillNode(net::NodeId node, bool update_routing = true,
                 bool rebalance = false);
 
   /// Adds a fresh node to the ring, updates the routing table, and triggers
-  /// background re-replication from existing nodes.
+  /// background re-replication: the newcomer holds nothing, so every bucket
+  /// it shares with an existing node differs and is pushed to it.
   net::NodeId AddNode();
 
   /// Restarts a previously killed node: it rejoins the ring with its durable
   /// store (indexes rebuilt via LocalStore::Recover, epoch bookkeeping via
   /// StorageService::OnRestart), every node's gossip peer list is re-seeded,
-  /// and all live nodes re-replicate toward the new routing table so the
-  /// returnee both catches up on missed writes and re-serves its own.
+  /// every live query service forgets the returnee's connection drop (and
+  /// the returnee forgets live peers' drops), and all live nodes
+  /// re-replicate toward the new routing table by bucket digest: the
+  /// returnee receives only the buckets it missed and re-serves records the
+  /// table moved. A restart that missed nothing moves no record.
   void RestartNode(net::NodeId node);
 
   /// Live-node count / liveness passthroughs for harnesses.

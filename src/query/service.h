@@ -74,6 +74,9 @@ class QueryService : public net::Service {
 
   void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override;
   void OnConnectionDrop(net::NodeId peer) override;
+  /// `peer` is back after a restart: its new queries' messages may again be
+  /// buffered ahead of their plan here.
+  void OnPeerRejoined(net::NodeId peer) { dropped_peers_.erase(peer); }
   /// Fail-stop death of this node: release every root (initiator state,
   /// including the user's completion callback), exec, and buffered message
   /// without invoking anything — the node is halted.
@@ -265,8 +268,11 @@ class QueryService : public net::Service {
       pending_;
   std::set<uint64_t> aborted_;          // recently finished/aborted queries
   std::deque<uint64_t> aborted_order_;  // insertion order, for capped eviction
-  // Peers whose connection dropped (fail-stop, ids are never reused): their
+  // Peers whose connection dropped and that have not rejoined since: their
   // queries can make no progress, so messages for them are never buffered.
+  // A restarted node keeps its id, so Deployment::RestartNode clears it here
+  // (OnPeerRejoined) on every live node, and the returnee's own entries for
+  // live peers.
   std::set<net::NodeId> dropped_peers_;
   uint64_t next_query_seq_ = 1;
   Counters counters_;

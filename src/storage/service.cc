@@ -1,6 +1,7 @@
 #include "storage/service.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <unordered_set>
 
@@ -568,171 +569,12 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       }
       return;
     }
-    case kReplicaPush: {
-      // Leads with the pusher's participant-watermark table so a restarted
-      // node re-learns every participant's mark (not just a scalar) from
-      // re-replication; the effective watermark is recomputed as the min.
-      auto bad_push = [&] {
-        Respond(from, req_id, Status::Corruption("bad replica push"), {});
-      };
-      uint64_t mark_count, n;
-      if (!r->GetVarint64(&mark_count).ok()) {
-        bad_push();
-        return;
-      }
-      std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
-      pushed_marks.reserve(mark_count);
-      for (uint64_t i = 0; i < mark_count; ++i) {
-        uint32_t p;
-        uint64_t m;
-        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) {
-          bad_push();
-          return;
-        }
-        pushed_marks.emplace_back(p, m);
-      }
-      // Piggybacked fenced-epoch table: merged BEFORE the records below so a
-      // push can never resurrect orphans at epochs its own sender knows are
-      // burned (and so a restarted receiver whose fenced claim records were
-      // GC'd below the watermark still re-learns the burns).
-      uint64_t fence_count;
-      if (!r->GetVarint64(&fence_count).ok()) {
-        bad_push();
-        return;
-      }
-      for (uint64_t i = 0; i < fence_count; ++i) {
-        uint64_t fe, fnonce;
-        uint32_t fp;
-        if (!r->GetVarint64(&fe).ok() || !r->GetVarint32(&fp).ok() ||
-            !r->GetVarint64(&fnonce).ok()) {
-          bad_push();
-          return;
-        }
-        MergeFencedEpoch(fe, fp, fnonce);
-      }
-      if (!r->GetVarint64(&n).ok()) {
-        bad_push();
-        return;
-      }
-      for (uint64_t i = 0; i < n; ++i) {
-        std::string_view key, value;
-        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
-          bad_push();
-          return;
-        }
-        if (keys::Tag(key) == keys::kClaimTag) {
-          // Epoch claims merge by strength: committed > purged burn > burn
-          // promise > uncommitted claim > absent. A CONFIRMED claim replaces
-          // anything unconfirmed (the commit is a fact — including a burn
-          // promise from a fence round the commit's confirm refused
-          // elsewhere). A PURGED burn carries purge authority and merges via
-          // the phase-two path; a bare burn promise only installs the
-          // marker — it must never purge, its fence round may have failed. A
-          // plain claim fills an empty slot with a conservatively-fresh
-          // clock (a pushed claim's owner gets a TTL of grace before a fence
-          // can use this replica's vote).
-          // A claim-tagged key that does not parse, or a malformed pushed
-          // record, carries nothing to merge.
-          Reader vr(value);
-          EpochClaimRecord pushed;
-          Epoch ce = 0;
-          if (!keys::ParseClaim(key, &ce) ||
-              !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-            continue;
-          }
-          EpochClaimRecord mine;
-          const Status mine_st = LoadClaim(ce, &mine);
-          const bool have_mine = mine_st.ok();
-          if (pushed.committed) {
-            if (!have_mine || !mine.committed) store_.Put(key, value).ok();
-            max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-            claim_touch_.erase(ce);
-          } else if (pushed.fenced && pushed.purged) {
-            if (!have_mine || !mine.committed) {
-              MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
-            }
-          } else if (pushed.fenced) {
-            if (!have_mine || (!mine.committed && !mine.fenced)) {
-              store_.Put(key, value).ok();
-              claim_touch_.erase(ce);
-            }
-          } else if (mine_st.IsNotFound() && fenced_epochs_.count(ce) == 0) {
-            // Absent, not malformed: a plain claim fills only an empty slot.
-            store_.Put(key, value).ok();
-            claim_touch_[ce] = host_->network()->simulator()->now();
-          }
-          continue;
-        }
-        if (keys::Tag(key) == keys::kCoordTag) {
-          // Coordinator records replicate store-if-absent like everything
-          // else, EXCEPT when replicas disagree about a (rel, epoch)'s
-          // writer — possible only after the commit-gate backstop fired
-          // under a claim-replica wipeout. Store-if-absent would then
-          // freeze the disagreement forever (neither writer's pushes could
-          // ever overwrite the other's replicas); merging toward the
-          // smaller participant makes every replica CONVERGE to one
-          // deterministic writer per epoch instead.
-          if (!fenced_epochs_.empty()) {
-            keys::ParsedCoordKey ck;
-            if (keys::ParseCoord(key, &ck) &&
-                fenced_epochs_.count(ck.epoch) > 0) {
-              continue;  // burned epoch: never rebuild its coordinator chain
-            }
-          }
-          auto curv = store_.Get(key);
-          if (!curv.ok()) {
-            store_.Put(key, value).ok();
-          } else {
-            Reader pr(value);
-            Reader cr(curv.value());
-            CoordinatorRecord pushed, mine;
-            if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
-                CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
-                pushed.participant != 0 && mine.participant != 0 &&
-                pushed.participant < mine.participant) {
-              store_.Put(key, value).ok();
-            }
-          }
-          continue;
-        }
-        // Fence filter on store-if-absent: a stale pusher that missed a
-        // fence must not resurrect the purged orphans here.
-        if (!fenced_epochs_.empty()) {
-          Epoch ve = 0;
-          bool versioned = false;
-          if (keys::Tag(key) == keys::kDataTag) {
-            keys::ParsedDataKey dk;
-            versioned = keys::ParseData(key, &dk);
-            if (versioned) ve = dk.epoch;
-          } else if (keys::Tag(key) == keys::kPageTag) {
-            keys::ParsedPageKey pk;
-            versioned = keys::ParsePageRec(key, &pk);
-            if (versioned) ve = pk.epoch;
-          }
-          if (versioned && fenced_epochs_.count(ve) > 0) continue;
-        }
-        if (!store_.Contains(key)) store_.Put(key, value).ok();
-        if (keys::Tag(key) == keys::kCatalogTag) {
-          Reader cr(value);
-          RelationDef def;
-          if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
-        }
-      }
-      ChargeCpu(costs.tuple_write_us * static_cast<double>(n));
-      // Piggybacked GC watermarks: a freshly restarted node (its table
-      // resets empty) learns every participant's mark from the first replica
-      // push instead of waiting for the next advertisements. Conversely, a
-      // push from a node that lags OUR watermark may have resurrected
-      // already-retired records. Marks are merged WITHOUT per-mark
-      // retirement and the sweep runs ONCE at the end — a push used to run
-      // a full-store sweep per mark plus one more.
-      for (const auto& [p, m] : pushed_marks) MergeParticipantMark(p, m);
-      Epoch effective = EffectiveParticipantWatermark();
-      if (effective > gc_watermark_) gc_watermark_ = effective;
-      if (n > 0 && gc_watermark_ > 0) ScheduleGcSweep();
-      Respond(from, req_id, Status::OK(), {});
+    case kReplicaPush:
+      HandleReplicaPush(from, r, req_id);
       return;
-    }
+    case kReplicaDigest:
+      HandleReplicaDigest(from, r, req_id);
+      return;
     case kScanPage:
       HandleScanPage(from, r, req_id);
       return;
@@ -1577,94 +1419,450 @@ void StorageService::ScanFail(uint64_t scan_id, Status st) {
 }
 
 // --------------------------------------------------------------------------
-// Background re-replication
+// Background re-replication and catch-up
 
-void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
-  std::map<net::NodeId, Writer> batches;
-  std::map<net::NodeId, uint64_t> batch_counts;
+namespace {
 
-  auto add_to = [&](net::NodeId target, std::string_view key, std::string_view value) {
-    if (target == node()) return;
-    Writer& w = batches[target];
-    w.PutString(key);
-    w.PutString(value);
-    batch_counts[target] += 1;
+// splitmix64's finalizer: a bijective 64-bit mix.
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+void AbsorbBytes(uint64_t* h, std::string_view s) {
+  size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, s.data() + i, 8);
+    *h = Mix64(*h ^ word);
+  }
+  uint64_t tail = 0;
+  if (i < s.size()) std::memcpy(&tail, s.data() + i, s.size() - i);
+  // The length keeps key/value boundaries apart: ("ab", "c") != ("a", "bc").
+  *h = Mix64(*h ^ tail ^ (static_cast<uint64_t>(s.size()) << 48));
+}
+
+constexpr uint64_t kFingerprintSeed = 0x9e3779b97f4a7c15ULL;
+
+// Fingerprint of one stored record (key ‖ value), the unit a catch-up
+// digest folds by wrapping sum. It continues the key's hash (which picks
+// the bucket) over the value. A pure function of the bytes, so every node
+// of the process computes the same value for the same record.
+uint64_t RecordFingerprint(uint64_t key_hash, std::string_view value) {
+  AbsorbBytes(&key_hash, value);
+  return key_hash;
+}
+
+bool Holds(const std::vector<net::NodeId>& replicas, net::NodeId n) {
+  return std::find(replicas.begin(), replicas.end(), n) != replicas.end();
+}
+
+}  // namespace
+
+uint64_t CatchupKeyHash(std::string_view key) {
+  uint64_t h = kFingerprintSeed;
+  AbsorbBytes(&h, key);
+  return h;
+}
+
+uint32_t CatchupBucket(uint64_t key_hash) {
+  return static_cast<uint32_t>(key_hash >> (64 - kCatchupBucketBits));
+}
+
+void StorageService::ForEachPlacedRecord(const overlay::RoutingSnapshot& snap,
+                                         const PlacedRecordFn& visit) const {
+  std::vector<net::NodeId> everyone;
+  for (const auto& m : snap.members()) everyone.push_back(m.node);
+  std::vector<net::NodeId> replicas;
+  // Keys sort by tag, then relation: reuse the last catalog lookup.
+  const RelationDef* def = nullptr;
+  auto relation = [&](std::string_view rel) {
+    if (def == nullptr || def->name != rel) {
+      auto found = catalog_.find(rel);
+      def = found == catalog_.end() ? nullptr : &found->second;
+    }
+    return def;
   };
-
   for (auto it = store_.Seek(""); it.Valid(); it.Next()) {
     std::string_view key = it.key();
     if (key.empty()) continue;
-    std::vector<net::NodeId> targets;
+    HashId placement;
+    // Catalog records, and the data, page and inverse records of a
+    // replicate-everywhere relation, live on every member.
+    bool on_every_member = false;
     switch (keys::Tag(key)) {
       case keys::kDataTag: {
         keys::ParsedDataKey dk;
         if (!keys::ParseData(key, &dk)) continue;
-        HashId h = HashId::FromBigEndianBytes(dk.hash_be20);
-        targets = snap.ReplicasOf(h, replication_);
+        placement = HashId::FromBigEndianBytes(dk.hash_be20);
+        const RelationDef* d = relation(dk.relation);
+        on_every_member = d != nullptr && d->replicate_everywhere;
         break;
       }
       case keys::kPageTag: {
         keys::ParsedPageKey pk;
         if (!keys::ParsePageRec(key, &pk)) continue;
-        auto def = catalog_.find(std::string(pk.relation));
-        if (def == catalog_.end()) continue;
-        targets = snap.ReplicasOf(
-            PartitionHome(pk.partition, def->second.num_partitions), replication_);
+        const RelationDef* d = relation(pk.relation);
+        if (d == nullptr) continue;
+        placement = PartitionHome(pk.partition, d->num_partitions);
+        on_every_member = d->replicate_everywhere;
         break;
       }
       case keys::kInverseTag: {
         keys::ParsedInverseKey ik;
         if (!keys::ParseInverse(key, &ik)) continue;
-        auto def = catalog_.find(std::string(ik.relation));
-        if (def == catalog_.end()) continue;
-        targets = snap.ReplicasOf(
-            PartitionHome(ik.partition, def->second.num_partitions), replication_);
+        const RelationDef* d = relation(ik.relation);
+        if (d == nullptr) continue;
+        placement = PartitionHome(ik.partition, d->num_partitions);
+        on_every_member = d->replicate_everywhere;
         break;
       }
       case keys::kCoordTag: {
         keys::ParsedCoordKey ck;
         if (!keys::ParseCoord(key, &ck)) continue;
-        targets = snap.ReplicasOf(CoordinatorHash(std::string(ck.relation), ck.epoch),
-                                  replication_);
+        placement = CoordinatorHash(std::string(ck.relation), ck.epoch);
         break;
       }
       case keys::kClaimTag: {
         Epoch e;
         if (!keys::ParseClaim(key, &e)) continue;
-        targets = snap.ReplicasOf(ClaimHash(e), replication_);
+        placement = ClaimHash(e);
         break;
       }
-      case keys::kCatalogTag: {
-        for (const auto& m : snap.members()) targets.push_back(m.node);
-        break;
-      }
+      case keys::kCatalogTag:
+        visit(key, it.value(), everyone);
+        continue;
       default:
         continue;
     }
-    for (net::NodeId t : targets) add_to(t, key, it.value());
+    if (on_every_member) {
+      visit(key, it.value(), everyone);
+      continue;
+    }
+    replicas = snap.ReplicasOf(placement, replication_);
+    visit(key, it.value(), replicas);
   }
+}
 
-  for (auto& [target, w] : batches) {
-    Writer out;
-    // Piggybacked GC marks: the full participant table, so a restarted
-    // receiver rebuilds the min-across-participants watermark, not a scalar.
-    out.PutVarint64(participant_marks_.size());
-    for (const auto& [p, pm] : participant_marks_) {
-      out.PutVarint32(p);
-      out.PutVarint64(pm.mark);
+void StorageService::RebalanceTo(const overlay::RoutingSnapshot& in) {
+  // The second round (PushBuckets) rescans under the same table.
+  auto snap = std::make_shared<const overlay::RoutingSnapshot>(in);
+  std::map<net::NodeId, Writer> stale;
+  std::map<net::NodeId, uint64_t> stale_counts;
+  std::map<net::NodeId, std::vector<BucketDigest>> digests;
+  uint64_t digested = 0;
+  ForEachPlacedRecord(*snap, [&](std::string_view key, std::string_view value,
+                                 const std::vector<net::NodeId>& replicas) {
+    if (!Holds(replicas, node())) {
+      // Stale here: re-serve it to its whole replica set unconditionally.
+      for (net::NodeId t : replicas) {
+        Writer& w = stale[t];
+        w.PutString(key);
+        w.PutString(value);
+        stale_counts[t] += 1;
+      }
+      return;
     }
-    // Piggybacked fenced-epoch table: burns propagate even after the fenced
-    // claim records themselves were retired below the GC watermark.
-    out.PutVarint64(fenced_epochs_.size());
-    for (const auto& [fe, inst] : fenced_epochs_) {
-      out.PutVarint64(fe);
-      out.PutVarint32(inst.participant);
-      out.PutVarint64(inst.nonce);
+    const uint64_t key_hash = CatchupKeyHash(key);
+    const uint32_t bucket = CatchupBucket(key_hash);
+    const uint64_t fp = RecordFingerprint(key_hash, value);
+    digested += 1;
+    for (net::NodeId t : replicas) {
+      if (t == node()) continue;
+      std::vector<BucketDigest>& d = digests[t];
+      if (d.empty()) d.resize(kCatchupBuckets);
+      d[bucket].sum += fp;
+      d[bucket].count += 1;
     }
-    out.PutVarint64(batch_counts[target]);
-    out.PutRaw(w.data().data(), w.size());
-    Call(target, kReplicaPush, out.Release(), [](Status, const std::string&) {});
+  });
+  // The digest work occupies this node's simulated CPU: its frames depart,
+  // and its next message is handled, only once the scan is paid for. A
+  // deployment rebalances every node before the simulator runs on, so each
+  // table is built before any peer's digest can arrive.
+  ChargeCpu(host_->network()->costs().index_entry_us *
+            static_cast<double>(digested));
+
+  for (const auto& [target, w] : stale) {
+    counters_.catchup_stale_records += stale_counts[target];
+    SendReplicaPush(target, stale_counts[target], w);
   }
+  for (const auto& [target, buckets] : digests) {
+    Writer body;
+    EncodeReplicaLeadIn(&body);
+    uint64_t nonempty = 0;
+    for (const BucketDigest& d : buckets) nonempty += d.count > 0 ? 1 : 0;
+    body.PutVarint64(nonempty);
+    for (uint32_t b = 0; b < kCatchupBuckets; ++b) {
+      if (buckets[b].count == 0) continue;
+      body.PutVarint32(b);
+      body.PutU64(buckets[b].sum);
+      body.PutVarint64(buckets[b].count);
+    }
+    counters_.catchup_digests_sent += 1;
+    Call(target, kReplicaDigest, body.Release(),
+         [this, target = target, snap](Status st, const std::string& reply) {
+           if (!st.ok()) return;
+           Reader r(reply);
+           uint64_t n;
+           if (!r.GetVarint64(&n).ok()) return;
+           std::vector<uint32_t> differ;
+           for (uint64_t i = 0; i < n; ++i) {
+             uint32_t b;
+             if (!r.GetVarint32(&b).ok() || b >= kCatchupBuckets) return;
+             differ.push_back(b);
+           }
+           if (!differ.empty()) PushBuckets(target, differ, *snap);
+         });
+  }
+  catchup_digests_ = std::move(digests);
+}
+
+void StorageService::PushBuckets(net::NodeId target,
+                                 const std::vector<uint32_t>& buckets,
+                                 const overlay::RoutingSnapshot& snap) {
+  std::vector<bool> wanted(kCatchupBuckets, false);
+  for (uint32_t b : buckets) wanted[b] = true;
+  Writer records;
+  uint64_t n = 0;
+  ForEachPlacedRecord(snap, [&](std::string_view key, std::string_view value,
+                                const std::vector<net::NodeId>& replicas) {
+    if (!Holds(replicas, node()) || !Holds(replicas, target) ||
+        !wanted[CatchupBucket(CatchupKeyHash(key))]) {
+      return;
+    }
+    records.PutString(key);
+    records.PutString(value);
+    n += 1;
+  });
+  counters_.catchup_records_pushed += n;
+  if (n > 0) SendReplicaPush(target, n, records);
+}
+
+void StorageService::SendReplicaPush(net::NodeId target, uint64_t n,
+                                     const Writer& records) {
+  Writer out;
+  EncodeReplicaLeadIn(&out);
+  out.PutVarint64(n);
+  out.PutRaw(records.data().data(), records.size());
+  Call(target, kReplicaPush, out.Release(), [](Status, const std::string&) {});
+}
+
+void StorageService::EncodeReplicaLeadIn(Writer* w) const {
+  // The full participant table, so a restarted receiver rebuilds the
+  // min-across-participants watermark, not a scalar.
+  w->PutVarint64(participant_marks_.size());
+  for (const auto& [p, pm] : participant_marks_) {
+    w->PutVarint32(p);
+    w->PutVarint64(pm.mark);
+  }
+  // Burns propagate even after the fenced claim records themselves were
+  // retired below the GC watermark.
+  w->PutVarint64(fenced_epochs_.size());
+  for (const auto& [fe, inst] : fenced_epochs_) {
+    w->PutVarint64(fe);
+    w->PutVarint32(inst.participant);
+    w->PutVarint64(inst.nonce);
+  }
+}
+
+Status StorageService::DecodeReplicaLeadIn(
+    Reader* r, std::vector<std::pair<ParticipantId, Epoch>>* marks) {
+  uint64_t mark_count;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&mark_count));
+  for (uint64_t i = 0; i < mark_count; ++i) {
+    uint32_t p;
+    uint64_t m;
+    ORC_RETURN_IF_ERROR(r->GetVarint32(&p));
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&m));
+    marks->emplace_back(p, m);
+  }
+  // Fences merge BEFORE the frame's records so a push can never resurrect
+  // orphans at epochs its own sender knows are burned (and so a restarted
+  // receiver whose fenced claim records were GC'd below the watermark still
+  // re-learns the burns).
+  uint64_t fence_count;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&fence_count));
+  for (uint64_t i = 0; i < fence_count; ++i) {
+    uint64_t fe, fnonce;
+    uint32_t fp;
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&fe));
+    ORC_RETURN_IF_ERROR(r->GetVarint32(&fp));
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&fnonce));
+    MergeFencedEpoch(fe, fp, fnonce);
+  }
+  return Status::OK();
+}
+
+void StorageService::ApplyReplicaMarks(
+    const std::vector<std::pair<ParticipantId, Epoch>>& marks, bool sweep) {
+  // A freshly restarted node (its table resets empty) learns every
+  // participant's mark from the first replica frame instead of waiting for
+  // the next advertisements. Conversely, a push from a node that lags OUR
+  // watermark may have resurrected already-retired records. Marks are
+  // merged without per-mark retirement and the sweep runs once.
+  for (const auto& [p, m] : marks) MergeParticipantMark(p, m);
+  Epoch effective = EffectiveParticipantWatermark();
+  if (effective > gc_watermark_) gc_watermark_ = effective;
+  if (sweep && gc_watermark_ > 0) ScheduleGcSweep();
+}
+
+void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
+                                       uint64_t req_id) {
+  auto bad = [&] {
+    Respond(from, req_id, Status::Corruption("bad replica push"), {});
+  };
+  std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
+  uint64_t n;
+  if (!DecodeReplicaLeadIn(r, &pushed_marks).ok() || !r->GetVarint64(&n).ok()) {
+    bad();
+    return;
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view key, value;
+    if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
+      bad();
+      return;
+    }
+    if (keys::Tag(key) == keys::kClaimTag) {
+      // Epoch claims merge by strength: committed > purged burn > burn
+      // promise > uncommitted claim > absent. A CONFIRMED claim replaces
+      // anything unconfirmed (the commit is a fact — including a burn
+      // promise from a fence round the commit's confirm refused
+      // elsewhere). A PURGED burn carries purge authority and merges via
+      // the phase-two path; a bare burn promise only installs the
+      // marker — it must never purge, its fence round may have failed. A
+      // plain claim fills an empty slot with a conservatively-fresh
+      // clock (a pushed claim's owner gets a TTL of grace before a fence
+      // can use this replica's vote).
+      // A claim-tagged key that does not parse, or a malformed pushed
+      // record, carries nothing to merge.
+      Reader vr(value);
+      EpochClaimRecord pushed;
+      Epoch ce = 0;
+      if (!keys::ParseClaim(key, &ce) ||
+          !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
+        continue;
+      }
+      EpochClaimRecord mine;
+      const Status mine_st = LoadClaim(ce, &mine);
+      const bool have_mine = mine_st.ok();
+      if (pushed.committed) {
+        if (!have_mine || !mine.committed) store_.Put(key, value).ok();
+        max_epoch_seen_ = std::max(max_epoch_seen_, ce);
+        claim_touch_.erase(ce);
+      } else if (pushed.fenced && pushed.purged) {
+        if (!have_mine || !mine.committed) {
+          MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
+        }
+      } else if (pushed.fenced) {
+        if (!have_mine || (!mine.committed && !mine.fenced)) {
+          store_.Put(key, value).ok();
+          claim_touch_.erase(ce);
+        }
+      } else if (mine_st.IsNotFound() && fenced_epochs_.count(ce) == 0) {
+        // Absent, not malformed: a plain claim fills only an empty slot.
+        store_.Put(key, value).ok();
+        claim_touch_[ce] = host_->network()->simulator()->now();
+      }
+      continue;
+    }
+    if (keys::Tag(key) == keys::kCoordTag) {
+      // Coordinator records replicate store-if-absent like everything
+      // else, EXCEPT when replicas disagree about a (rel, epoch)'s
+      // writer — possible only after the commit-gate backstop fired
+      // under a claim-replica wipeout. Store-if-absent would then
+      // freeze the disagreement forever (neither writer's pushes could
+      // ever overwrite the other's replicas); merging toward the
+      // smaller participant makes every replica CONVERGE to one
+      // deterministic writer per epoch instead.
+      if (!fenced_epochs_.empty()) {
+        keys::ParsedCoordKey ck;
+        if (keys::ParseCoord(key, &ck) &&
+            fenced_epochs_.count(ck.epoch) > 0) {
+          continue;  // burned epoch: never rebuild its coordinator chain
+        }
+      }
+      auto curv = store_.Get(key);
+      if (!curv.ok()) {
+        store_.Put(key, value).ok();
+      } else {
+        Reader pr(value);
+        Reader cr(curv.value());
+        CoordinatorRecord pushed, mine;
+        if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
+            CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
+            pushed.participant != 0 && mine.participant != 0 &&
+            pushed.participant < mine.participant) {
+          store_.Put(key, value).ok();
+        }
+      }
+      continue;
+    }
+    // Fence filter on store-if-absent: a stale pusher that missed a
+    // fence must not resurrect the purged orphans here.
+    if (!fenced_epochs_.empty()) {
+      Epoch ve = 0;
+      bool versioned = false;
+      if (keys::Tag(key) == keys::kDataTag) {
+        keys::ParsedDataKey dk;
+        versioned = keys::ParseData(key, &dk);
+        if (versioned) ve = dk.epoch;
+      } else if (keys::Tag(key) == keys::kPageTag) {
+        keys::ParsedPageKey pk;
+        versioned = keys::ParsePageRec(key, &pk);
+        if (versioned) ve = pk.epoch;
+      }
+      if (versioned && fenced_epochs_.count(ve) > 0) continue;
+    }
+    if (!store_.Contains(key)) store_.Put(key, value).ok();
+    if (keys::Tag(key) == keys::kCatalogTag) {
+      Reader cr(value);
+      RelationDef def;
+      if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
+    }
+  }
+  ChargeCpu(host_->network()->costs().tuple_write_us * static_cast<double>(n));
+  ApplyReplicaMarks(pushed_marks, n > 0);
+  Respond(from, req_id, Status::OK(), {});
+}
+
+void StorageService::HandleReplicaDigest(net::NodeId from, Reader* r,
+                                         uint64_t req_id) {
+  auto bad = [&] {
+    Respond(from, req_id, Status::Corruption("bad replica digest"), {});
+  };
+  std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
+  uint64_t n;
+  if (!DecodeReplicaLeadIn(r, &pushed_marks).ok() || !r->GetVarint64(&n).ok()) {
+    bad();
+    return;
+  }
+  auto table = catchup_digests_.find(from);
+  const std::vector<BucketDigest>* mine =
+      table == catchup_digests_.end() ? nullptr : &table->second;
+  std::vector<uint32_t> differ;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint32_t b;
+    uint64_t sum, count;
+    if (!r->GetVarint32(&b).ok() || b >= kCatchupBuckets ||
+        !r->GetU64(&sum).ok() || !r->GetVarint64(&count).ok()) {
+      bad();
+      return;
+    }
+    if (mine == nullptr || (*mine)[b].sum != sum || (*mine)[b].count != count) {
+      differ.push_back(b);
+    }
+  }
+  counters_.catchup_buckets_compared += n;
+  counters_.catchup_buckets_mismatched += differ.size();
+  // The digest stands in for the push it spares: the lead-in tables apply,
+  // and the sweep is scheduled exactly as a push of these buckets would.
+  ApplyReplicaMarks(pushed_marks, n > 0);
+  Writer w;
+  w.PutVarint64(differ.size());
+  for (uint32_t b : differ) w.PutVarint32(b);
+  Respond(from, req_id, Status::OK(), w.Release());
 }
 
 // --------------------------------------------------------------------------

@@ -59,9 +59,13 @@ enum StorageCode : uint16_t {
   kScanPage = 9,      // Algorithm 1, step 4: ask index node to scan a page
   kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node
   kTupleData = 11,    // Algorithm 1, step 9: data node -> requester (direct)
-  kReplicaPush = 12,  // background re-replication (PAST-style, §III-C);
-                      // leads with the pusher's GC watermark so a restarted
-                      // node catches up without waiting for the next publish
+  // Background re-replication (PAST-style, §III-C): records the receiver
+  // stores if absent (claims and coordinator records merge by rule). Leads
+  // with the pusher's participant-mark and fenced-epoch tables so a
+  // restarted node catches up without waiting for the next publish. Carries
+  // only stale records (the new table no longer places them on the pusher)
+  // and the records of buckets a kReplicaDigest reply named.
+  kReplicaPush = 12,
   kGetMaxEpoch = 13,  // highest coordinator epoch this node stores
   kSetWatermark = 14, // one-way: (participant, GC low-watermark) advertisement
   // Multi-writer epoch claims: the pre-write serialization point. A claim
@@ -99,6 +103,12 @@ enum StorageCode : uint16_t {
   // Receivers record the burn and purge local orphan versions at the epoch;
   // ignored if the local claim committed (a commit is a fact).
   kPurgeEpoch = 20,
+  // Catch-up digest (RebalanceTo, first round): the kReplicaPush lead-in
+  // tables, then one (bucket, fingerprint sum, count) entry per non-empty
+  // bucket of the records sender and receiver both replicate under the new
+  // table. The reply names the buckets whose digest differs from the
+  // receiver's own; the sender pushes only those buckets' records.
+  kReplicaDigest = 21,
   kReply = 100,       // RPC reply envelope
 };
 
@@ -129,6 +139,21 @@ constexpr sim::SimTime kScanDeadlineUs = 120 * sim::kMicrosPerSec;
 /// that the participant is considered departed and stops holding the
 /// effective (min-across-participants) watermark down.
 constexpr sim::SimTime kParticipantMarkTtlUs = 300 * sim::kMicrosPerSec;
+
+/// Restart catch-up granularity: RebalanceTo digests the records a node
+/// shares with each co-replica into this many buckets. A bucket whose digest
+/// differs is pushed whole, so finer buckets ship fewer redundant records
+/// per missed one at the price of a larger kReplicaDigest frame.
+constexpr uint32_t kCatchupBucketBits = 10;
+constexpr uint32_t kCatchupBuckets = 1u << kCatchupBucketBits;
+
+/// Deterministic 64-bit hash of a stored record's key; its top
+/// kCatchupBucketBits are the record's catch-up bucket. The bucket follows
+/// the key, not the placement hash: a placement is shared by every version
+/// of a tuple, by the rows placed with it (lineitem by its order) and by
+/// every relation's page of one partition, and a bucket is pushed whole.
+uint64_t CatchupKeyHash(std::string_view key);
+uint32_t CatchupBucket(uint64_t key_hash);
 
 /// Sargable filter pushed to index nodes: an inclusive key-bytes range.
 struct KeyFilter {
@@ -249,7 +274,16 @@ class StorageService : public net::Service {
                   std::function<void(Status, Tuple)> cb);
 
   /// Re-replicates local state according to `snap` (background replication
-  /// after membership change). Sends batched kReplicaPush messages.
+  /// after membership change), in two rounds. One scan of the store,
+  /// charged to this node's CPU at index_entry_us per record digested,
+  /// sorts every record: records whose replica set under `snap` no longer
+  /// contains this node (stale) are pushed to that set at once; every other
+  /// record's fingerprint is folded into a per-(co-replica, bucket) digest,
+  /// and each co-replica gets one kReplicaDigest. Only the buckets the
+  /// co-replica reports as different are then pushed (kReplicaPush). Both
+  /// sides digest by the same predicate, so replicas already in sync
+  /// exchange digests and no records. The digest table also answers the
+  /// digests this node receives, so callers rebalance every live node.
   void RebalanceTo(const overlay::RoutingSnapshot& snap);
 
   // --- Multi-epoch GC -------------------------------------------------------
@@ -323,6 +357,9 @@ class StorageService : public net::Service {
   /// deadline closures are cancelled eagerly, like resolved RPC deadlines.
   void OnSelfFailed() override {
     rpc_.DropAll();
+    // The digest table describes the store as it was before the crash; the
+    // restart's own RebalanceTo rebuilds it from the recovered store.
+    catchup_digests_.clear();
     // lint:allow(det-unordered-iter): cancels deadline closures only; no
     // callbacks run on a halted node, so order cannot reach the trace.
     for (auto& [id, scan] : scans_) {
@@ -361,6 +398,16 @@ class StorageService : public net::Service {
     uint64_t page_deltas = 0;
     uint64_t page_full_fallbacks = 0;
     uint64_t page_fetches = 0;
+    // Catch-up (RebalanceTo). Sender side: kReplicaDigest messages sent,
+    // records pushed because their bucket differed at the co-replica, and
+    // stale records re-served (pushed unconditionally). Receiver side:
+    // buckets compared against this node's digest table, and those that
+    // differed.
+    uint64_t catchup_digests_sent = 0;
+    uint64_t catchup_records_pushed = 0;
+    uint64_t catchup_stale_records = 0;
+    uint64_t catchup_buckets_compared = 0;
+    uint64_t catchup_buckets_mismatched = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -420,6 +467,33 @@ class StorageService : public net::Service {
   /// never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
   void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
+  // --- Catch-up (RebalanceTo) ----------------------------------------------
+  /// Calls `visit` for every record RebalanceTo replicates, with its replica
+  /// set under `snap`.
+  using PlacedRecordFn =
+      std::function<void(std::string_view key, std::string_view value,
+                         const std::vector<net::NodeId>& replicas)>;
+  void ForEachPlacedRecord(const overlay::RoutingSnapshot& snap,
+                           const PlacedRecordFn& visit) const;
+  /// Second round: pushes this node's records in `buckets` that `target`
+  /// co-replicates under `snap`.
+  void PushBuckets(net::NodeId target, const std::vector<uint32_t>& buckets,
+                   const overlay::RoutingSnapshot& snap);
+  /// Sends one kReplicaPush of `n` encoded (key, value) pairs.
+  void SendReplicaPush(net::NodeId target, uint64_t n, const Writer& records);
+  /// The lead-in both replica frames share: participant-mark table, then
+  /// fenced-epoch table.
+  void EncodeReplicaLeadIn(Writer* w) const;
+  /// Decodes the lead-in. Fences merge at once (before any record of the
+  /// frame); marks are returned for ApplyReplicaMarks.
+  Status DecodeReplicaLeadIn(Reader* r,
+                             std::vector<std::pair<ParticipantId, Epoch>>* marks);
+  /// Merges pushed marks, raises the watermark to the effective mark and,
+  /// if `sweep`, schedules a background sweep.
+  void ApplyReplicaMarks(const std::vector<std::pair<ParticipantId, Epoch>>& marks,
+                         bool sweep);
+  void HandleReplicaPush(net::NodeId from, Reader* r, uint64_t req_id);
+  void HandleReplicaDigest(net::NodeId from, Reader* r, uint64_t req_id);
   /// Decodes one kPutPage frame and stores its entries; replies Fenced if
   /// any entry's epoch is burned, else OK with the need-full list.
   void HandlePutPage(net::NodeId from, Reader* r, uint64_t req_id);
@@ -494,6 +568,15 @@ class StorageService : public net::Service {
     uint64_t nonce = 0;
   };
   std::map<Epoch, FencedInstance> fenced_epochs_;
+  // Catch-up digest table from the last RebalanceTo scan: per co-replica,
+  // kCatchupBuckets (fingerprint sum, count) pairs over the records both
+  // replicate. Empty until the first scan and after a crash; a digest from
+  // a node with no entry here is answered "every bucket differs".
+  struct BucketDigest {
+    uint64_t sum = 0;
+    uint64_t count = 0;
+  };
+  std::map<net::NodeId, std::vector<BucketDigest>> catchup_digests_;
 };
 
 }  // namespace orchestra::storage

@@ -512,13 +512,22 @@ struct Driver {
   }
 
   /// Full diagnostic dump on a suspected wedge: every live node's epoch-claim
-  /// table ('E' records, decoded) plus every writer's fault/pipeline state.
-  /// Appends to the trace so it rides along in ChurnReport::failure repros.
+  /// table ('E' records, decoded) and cumulative restart catch-up counters,
+  /// plus every writer's fault/pipeline state. Appends to the trace so it
+  /// rides along in ChurnReport::failure repros.
   void WedgeDump() {
     Trace("wedge-dump begin");
     for (size_t i = 0; i < dep->size(); ++i) {
       auto n = static_cast<net::NodeId>(i);
       if (!dep->IsAlive(n)) continue;
+      const auto& sc = dep->storage(i).counters();
+      Trace("catchup node=%u digests=%llu compared=%llu mismatched=%llu "
+            "pushed=%llu stale=%llu",
+            n, static_cast<unsigned long long>(sc.catchup_digests_sent),
+            static_cast<unsigned long long>(sc.catchup_buckets_compared),
+            static_cast<unsigned long long>(sc.catchup_buckets_mismatched),
+            static_cast<unsigned long long>(sc.catchup_records_pushed),
+            static_cast<unsigned long long>(sc.catchup_stale_records));
       const auto& store = dep->storage(i).store();
       for (auto it = store.SeekPrefix(storage::keys::TagPrefix(storage::keys::kClaimTag));
            it.Valid(); it.Next()) {

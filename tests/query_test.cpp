@@ -4,11 +4,15 @@
 
 #include "common/rng.h"
 #include "deploy/deployment.h"
+#include "optimizer/optimizer.h"
 #include "query/expr.h"
 #include "query/plan.h"
 #include "query/reference.h"
 #include "query/service.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
+#include "workload/tpch.h"
+#include "workload/workload.h"
 
 namespace orchestra::query {
 namespace {
@@ -717,6 +721,89 @@ TEST_P(FailureTimeSweep, ExactAnswerAtAnyFailureTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FailureTimeSweep, ::testing::Values(0, 1, 2, 3, 4));
+
+// Holds every kQuery message from `slow` for `delay` before handing it to the
+// wrapped service, and passes everything else straight through. The
+// simulated NIC delivers to a receiver in send order, so a slow link alone
+// cannot let other peers' messages overtake one already in flight; this
+// proxy models a slow path from one peer that does not hold up the rest.
+class SlowPeerProxy : public net::Service {
+ public:
+  SlowPeerProxy(net::Network* net, net::NodeId self, net::Service* inner,
+                net::NodeId slow, sim::SimTime delay)
+      : net_(net), self_(self), inner_(inner), slow_(slow), delay_(delay) {}
+
+  void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override {
+    if (from != slow_) {
+      inner_->OnMessage(from, code, payload);
+      return;
+    }
+    net_->RunOnNode(self_, net_->simulator()->now() + delay_,
+                    [this, from, code, payload] { inner_->OnMessage(from, code, payload); });
+  }
+  void OnConnectionDrop(net::NodeId peer) override { inner_->OnConnectionDrop(peer); }
+  void OnSelfFailed() override { inner_->OnSelfFailed(); }
+
+ private:
+  net::Network* net_;
+  net::NodeId self_;
+  net::Service* inner_;
+  net::NodeId slow_;
+  sim::SimTime delay_;
+};
+
+// A node that was killed and restarted initiates queries again under its old
+// id, so its query ids carry that initiator. Peers saw its connection drop;
+// they must forget that once it rejoins, or every message for its new
+// queries that races ahead of the kPlan (rehash blocks, EOS markers,
+// part-done) is discarded instead of buffered, and the query never
+// completes at that worker.
+TEST(QueryRejoin, RestartedInitiatorsQueriesKeepEarlyMessages) {
+  workload::TpchConfig cfg;
+  cfg.scale_factor = 0.002;
+  cfg.num_partitions = 8;
+  const auto rels = workload::TpchGenerate(cfg);
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 6;
+  opts.replication = 3;
+  deploy::Deployment dep(opts);
+  auto epoch = workload::Load(&dep, 0, rels);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+
+  auto catalog = [&dep](const std::string& name) { return dep.storage(0).Relation(name); };
+  auto analyzed = sql::ParseAndAnalyze(workload::TpchQuerySql("Q3"), catalog);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  optimizer::CostParams params;
+  params.num_nodes = opts.num_nodes;
+  optimizer::Optimizer opt(workload::StatsFor(rels), params);
+  auto planned = opt.Plan(*analyzed);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const PhysicalPlan& plan = planned->plan;
+  auto expect = ReferenceExecute(plan, workload::AsReferenceDb(rels));
+  ASSERT_TRUE(expect.ok());
+
+  const net::NodeId initiator = 3;
+  dep.KillNode(initiator, /*update_routing=*/false);
+  dep.RunFor(1 * sim::kMicrosPerSec);
+  dep.RestartNode(initiator);
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+
+  // The 3 -> w path takes 50 ms: w gets the other workers' part-done
+  // messages and rehash blocks for the query before its plan.
+  const net::NodeId w = 1;
+  SlowPeerProxy proxy(&dep.network(), w, &dep.query(w), initiator,
+                      50 * sim::kMicrosPerMilli);
+  dep.host(w).Register(net::ServiceId::kQuery, &proxy);
+
+  Pending<QueryResult> q = dep.session(initiator).Query(plan, *epoch);
+  ASSERT_TRUE(dep.RunUntil([&q] { return q.done(); }, 30 * sim::kMicrosPerSec))
+      << "query from the restarted node never resolved";
+  ASSERT_TRUE(q.status().ok()) << q.status().ToString();
+  EXPECT_TRUE(SameBagApprox(q.value().rows, *expect))
+      << "got " << q.value().rows.size() << " rows, want " << expect->size();
+  EXPECT_EQ(dep.query(w).buffered_message_count(), 0u);
+  dep.host(w).Register(net::ServiceId::kQuery, &dep.query(w));
+}
 
 }  // namespace
 }  // namespace orchestra::query

@@ -1480,5 +1480,266 @@ TEST_F(StorageClusterTest, PublishCommitsWhenAReplicaLacksTheBase) {
   EXPECT_EQ(AsBag(*rows), AsBag({Row("b", "1"), Row("c", "2")}));
 }
 
+
+// ---------------------------------------------------------------------------
+// Catch-up: RebalanceTo compares per-bucket digests and pushes only the
+// buckets that differ (plus stale records).
+
+// Sum of every node's catch-up counters.
+StorageService::Counters CatchupTotals(deploy::Deployment& dep) {
+  StorageService::Counters t;
+  for (size_t i = 0; i < dep.size(); ++i) {
+    const auto& c = dep.storage(i).counters();
+    t.catchup_digests_sent += c.catchup_digests_sent;
+    t.catchup_records_pushed += c.catchup_records_pushed;
+    t.catchup_stale_records += c.catchup_stale_records;
+    t.catchup_buckets_compared += c.catchup_buckets_compared;
+    t.catchup_buckets_mismatched += c.catchup_buckets_mismatched;
+  }
+  return t;
+}
+
+// Test oracle, re-derived from the key codec and the placement functions:
+// the records node `self` holds whose replica set under the current table
+// contains both `self` and `peer`, as bucket -> key -> value. Catalog
+// records, and the records of replicate-everywhere relations, are on every
+// member.
+using SharedRecords = std::map<uint32_t, std::map<std::string, std::string>>;
+SharedRecords SharedWith(deploy::Deployment& dep, size_t self, net::NodeId peer) {
+  SharedRecords out;
+  const overlay::RoutingSnapshot& snap = dep.snapshot();
+  StorageService& svc = dep.storage(self);
+  for (auto it = svc.store().Seek(""); it.Valid(); it.Next()) {
+    std::string_view key = it.key();
+    HashId h;
+    std::string_view rel;
+    uint32_t partition = 0;
+    switch (keys::Tag(key)) {
+      case keys::kDataTag: {
+        keys::ParsedDataKey dk;
+        if (!keys::ParseData(key, &dk)) continue;
+        h = HashId::FromBigEndianBytes(dk.hash_be20);
+        rel = dk.relation;
+        break;
+      }
+      case keys::kPageTag: {
+        keys::ParsedPageKey pk;
+        if (!keys::ParsePageRec(key, &pk)) continue;
+        rel = pk.relation;
+        partition = pk.partition;
+        break;
+      }
+      case keys::kInverseTag: {
+        keys::ParsedInverseKey ik;
+        if (!keys::ParseInverse(key, &ik)) continue;
+        rel = ik.relation;
+        partition = ik.partition;
+        break;
+      }
+      case keys::kCoordTag: {
+        keys::ParsedCoordKey ck;
+        if (!keys::ParseCoord(key, &ck)) continue;
+        h = CoordinatorHash(std::string(ck.relation), ck.epoch);
+        break;
+      }
+      case keys::kClaimTag: {
+        Epoch e;
+        if (!keys::ParseClaim(key, &e)) continue;
+        h = ClaimHash(e);
+        break;
+      }
+      case keys::kCatalogTag:
+        break;
+      default:
+        continue;
+    }
+    bool everywhere = keys::Tag(key) == keys::kCatalogTag;
+    if (!rel.empty()) {
+      auto def = svc.Relation(rel);
+      if (!def.ok()) continue;
+      everywhere = def->replicate_everywhere;
+      if (keys::Tag(key) != keys::kDataTag) h = PartitionHome(partition, def->num_partitions);
+    }
+    std::vector<net::NodeId> reps;
+    if (everywhere) {
+      for (const auto& m : snap.members()) reps.push_back(m.node);
+    } else {
+      reps = snap.ReplicasOf(h, dep.options().replication);
+    }
+    auto holds = [&reps](net::NodeId n) {
+      return std::find(reps.begin(), reps.end(), n) != reps.end();
+    };
+    if (!holds(static_cast<net::NodeId>(self)) || !holds(peer)) continue;
+    out[CatchupBucket(CatchupKeyHash(key))][std::string(key)] = std::string(it.value());
+  }
+  return out;
+}
+
+// Keys whose value differs between two shared-record maps (absent on one
+// side counts as different), as "<tag>@<bucket>" items: short failure text.
+std::string DescribeDiff(const SharedRecords& a, const SharedRecords& b) {
+  std::map<std::string, std::string> fa, fb;
+  for (const auto& [bucket, recs] : a) {
+    for (const auto& [k, v] : recs) fa[k] = v;
+  }
+  for (const auto& [bucket, recs] : b) {
+    for (const auto& [k, v] : recs) fb[k] = v;
+  }
+  std::string out;
+  for (const auto& [k, v] : fa) {
+    auto it = fb.find(k);
+    if (it == fb.end()) {
+      out += std::string(" only-left:") + keys::Tag(k);
+    } else if (it->second != v) {
+      out += std::string(" differs:") + keys::Tag(k);
+    }
+  }
+  for (const auto& [k, v] : fb) {
+    if (fa.count(k) == 0) out += std::string(" only-right:") + keys::Tag(k);
+  }
+  return out;
+}
+
+void Settle(deploy::Deployment& dep) {
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+  dep.RunFor(1 * sim::kMicrosPerSec);
+}
+
+// A node that missed nothing while dead: every co-replica pair compares
+// equal on every bucket and no record moves.
+TEST_F(StorageClusterTest, IdleRestartPushesNoRecords) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  for (int e = 0; e < 3; ++e) {
+    UpdateBatch batch;
+    for (int i = 0; i < 100; ++i) {
+      batch["R"].push_back(Update::Insert(Row(Numbered("k", i), Numbered("v", e))));
+    }
+    ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
+  }
+  Settle(*dep);
+  const StorageService::Counters before = CatchupTotals(*dep);
+  dep->KillNode(2, /*update_routing=*/false);
+  dep->RunFor(1 * sim::kMicrosPerSec);
+  dep->RestartNode(2);
+  Settle(*dep);
+  const StorageService::Counters after = CatchupTotals(*dep);
+  // Four nodes, replication 3: every node co-replicates with the other three.
+  EXPECT_EQ(after.catchup_digests_sent - before.catchup_digests_sent, 12u);
+  EXPECT_GT(after.catchup_buckets_compared, before.catchup_buckets_compared);
+  EXPECT_EQ(after.catchup_buckets_mismatched, before.catchup_buckets_mismatched);
+  EXPECT_EQ(after.catchup_records_pushed, before.catchup_records_pushed);
+  EXPECT_EQ(after.catchup_stale_records, before.catchup_stale_records);
+  auto rows = dep->Retrieve(2, "R", 3);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 100u);
+}
+
+// A node that missed publishes while dead ends up with exactly its
+// co-replicas' records for the ranges both hold (inverse entries aside, see
+// below). Only differing buckets are pushed, from both sides: at most twice
+// their contents.
+TEST_F(StorageClusterTest, RestartCatchesUpOnlyMissedBuckets) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  UpdateBatch load;
+  for (int i = 0; i < 300; ++i) {
+    load["R"].push_back(Update::Insert(Row(Numbered("k", i), "v0")));
+  }
+  ASSERT_TRUE(dep->Publish(0, std::move(load)).ok());
+  const net::NodeId returnee = 2;
+  dep->KillNode(returnee);  // the table shrinks to three nodes
+  Epoch last = 0;
+  for (int e = 0; e < 3; ++e) {
+    UpdateBatch batch;
+    for (int i = 0; i < 4; ++i) {
+      batch["R"].push_back(
+          Update::Insert(Row(Numbered("k", 300 + 4 * e + i), Numbered("v", e))));
+    }
+    auto epoch = dep->Publish(0, std::move(batch));
+    ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+    last = *epoch;
+  }
+  const StorageService::Counters before = CatchupTotals(*dep);
+  dep->RestartNode(returnee);  // recovers now; the catch-up runs in sim time
+
+  size_t missed = 0;
+  size_t bound = 0;
+  std::vector<net::NodeId> peers;
+  for (size_t t = 0; t < dep->size(); ++t) {
+    if (t != returnee) peers.push_back(static_cast<net::NodeId>(t));
+  }
+  for (net::NodeId t : peers) {
+    SharedRecords mine = SharedWith(*dep, returnee, t);
+    SharedRecords theirs = SharedWith(*dep, t, returnee);
+    for (const auto& [bucket, recs] : theirs) {
+      if (mine[bucket] == recs) continue;
+      bound += 2 * recs.size();
+      for (const auto& [key, value] : recs) missed += mine[bucket].count(key) == 0 ? 1 : 0;
+    }
+  }
+  ASSERT_GT(missed, 0u);
+
+  Settle(*dep);
+  // Inverse entries (partition -> newest page) replicate store-if-absent, so
+  // the returnee keeps the pointer it had before it died; everything else
+  // must now match exactly.
+  auto without_inverse = [](SharedRecords recs) {
+    for (auto& [bucket, kv] : recs) {
+      std::erase_if(kv, [](const auto& e) { return keys::Tag(e.first) == keys::kInverseTag; });
+    }
+    std::erase_if(recs, [](const auto& e) { return e.second.empty(); });
+    return recs;
+  };
+  for (net::NodeId t : peers) {
+    const SharedRecords mine = without_inverse(SharedWith(*dep, returnee, t));
+    const SharedRecords theirs = without_inverse(SharedWith(*dep, t, returnee));
+    EXPECT_TRUE(mine == theirs) << "node " << returnee << " vs node " << t << ":"
+                                << DescribeDiff(mine, theirs);
+  }
+  const StorageService::Counters after = CatchupTotals(*dep);
+  const uint64_t pushed = after.catchup_records_pushed - before.catchup_records_pushed;
+  EXPECT_GE(pushed, missed);
+  EXPECT_LE(pushed, bound);
+  auto rows = dep->Retrieve(returnee, "R", last);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 312u);
+}
+
+// Two claim replicas disagree about one epoch's claim: plain on one,
+// committed on the others. The claim's bucket differs, both sides push it,
+// and the claim merge rules leave it committed everywhere.
+TEST_F(StorageClusterTest, PlainAndCommittedClaimMergeToCommitted) {
+  const Epoch e = 50;
+  const std::vector<net::NodeId> reps = dep->snapshot().ReplicasOf(ClaimHash(e), 3);
+  ASSERT_EQ(reps.size(), 3u);
+  auto put_claim = [&](net::NodeId n, bool committed) {
+    EpochClaimRecord rec{/*participant=*/7, /*node=*/0, committed, /*nonce=*/9};
+    Writer w;
+    rec.EncodeTo(&w);
+    ASSERT_TRUE(dep->storage(n).store().Put(keys::EpochClaim(e), w.data()).ok());
+  };
+  put_claim(reps[0], /*committed=*/false);
+  put_claim(reps[1], /*committed=*/true);
+  put_claim(reps[2], /*committed=*/true);
+
+  for (size_t i = 0; i < dep->size(); ++i) dep->storage(i).RebalanceTo(dep->snapshot());
+  Settle(*dep);
+
+  const StorageService::Counters t = CatchupTotals(*dep);
+  // reps[0] differs from each of the others, in both directions; the two
+  // committed replicas agree.
+  EXPECT_EQ(t.catchup_buckets_mismatched, 4u);
+  EXPECT_EQ(t.catchup_records_pushed, 4u);
+  EXPECT_EQ(t.catchup_stale_records, 0u);
+  for (net::NodeId n : reps) {
+    auto stored = dep->storage(n).store().Get(keys::EpochClaim(e));
+    ASSERT_TRUE(stored.ok());
+    Reader r(stored.value());
+    EpochClaimRecord rec;
+    ASSERT_TRUE(EpochClaimRecord::DecodeFrom(&r, &rec).ok());
+    EXPECT_TRUE(rec.committed) << "node " << n;
+  }
+  EXPECT_EQ(dep->storage(reps[0]).max_epoch_seen(), e);
+}
+
 }  // namespace
 }  // namespace orchestra::storage

@@ -235,10 +235,12 @@ _FRAME_HOME = ["src/storage/service.h", "src/storage/service.cc",
 
 RULES.append(regex_rule(
     "codec-frame",
-    r"\bkPut(Tuples|Page)\b|\bPutPageFrame\b",
+    r"\bkPut(Tuples|Page)\b|\bPutPageFrame\b|\bkReplicaDigest\b",
     "the kPutTuples and kPutPage publish frames each have one encoder "
-    "(Publisher::IssueWrites) and one decoder (StorageService); building or "
-    "parsing them elsewhere forks the wire format",
+    "(Publisher::IssueWrites) and one decoder (StorageService), and the "
+    "kReplicaDigest catch-up frame one encoder (RebalanceTo) and one decoder "
+    "(StorageService); building or parsing them elsewhere forks the wire "
+    "format",
     scope=["src/"], exclude=_FRAME_HOME))
 
 # --- RPC lifecycle ---------------------------------------------------------
